@@ -81,14 +81,6 @@ void
 WorkerPool::workChunk()
 {
     const auto& fn = *job_;
-    if (mode_ == Dispatch::Steal) {
-        // Every task was enqueued before the dispatch was published, so
-        // an empty ring means the work is gone, not late.
-        std::size_t i = 0;
-        while (steal_->pop(&i))
-            fn(i);
-        return;
-    }
     while (true) {
         std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
         if (i >= count_)
@@ -136,16 +128,15 @@ WorkerPool::workerLoop()
 
 void
 WorkerPool::run(std::size_t count,
-                const std::function<void(std::size_t)>& fn, Dispatch mode)
+                const std::function<void(std::size_t)>& fn)
 {
-    dispatch(count, fn, mode);
+    dispatch(count, fn);
     wait();
 }
 
 void
 WorkerPool::dispatch(std::size_t count,
-                     const std::function<void(std::size_t)>& fn,
-                     Dispatch mode)
+                     const std::function<void(std::size_t)>& fn)
 {
     QP_ASSERT(!pending_, "WorkerPool::dispatch while one is pending");
     if (count == 0)
@@ -164,17 +155,7 @@ WorkerPool::dispatch(std::size_t count,
                   "WorkerPool dispatch is not reentrant");
         job_ = &fn;
         count_ = count;
-        mode_ = mode;
-        if (mode == Dispatch::Steal) {
-            if (!steal_ || steal_->capacity() < count)
-                steal_ = std::make_unique<MpmcRing<std::size_t>>(count);
-            for (std::size_t i = 0; i < count; ++i) {
-                bool ok = steal_->push(std::size_t(i));
-                QP_ASSERT(ok, "steal ring full at dispatch");
-            }
-        } else {
-            next_.store(0, std::memory_order_relaxed);
-        }
+        next_.store(0, std::memory_order_relaxed);
         active_.store(static_cast<int>(workers_.size()),
                       std::memory_order_release);
         generation_.fetch_add(1, std::memory_order_acq_rel);

@@ -13,12 +13,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "common/mpmc.h"
 
 namespace qprac {
 
@@ -68,26 +65,10 @@ class WorkerPool
     int degree() const { return static_cast<int>(workers_.size()) + 1; }
 
     /**
-     * How indices are handed to lanes. Counter is the v1 static-claim
-     * scheme (a shared fetch_add counter); Steal drains a lock-free
-     * MPMC task ring, so lanes that finish cheap tasks steal the
-     * expensive ones instead of idling — the win shows when task costs
-     * are skewed (hot channels, heterogeneous core+shard task lists).
-     * Either mode executes every index exactly once; the choice never
-     * affects simulation results.
-     */
-    enum class Dispatch
-    {
-        Counter,
-        Steal,
-    };
-
-    /**
      * Run fn(i) for i in [0, count) across the pool plus the caller;
      * returns after all indices finished. Not reentrant.
      */
-    void run(std::size_t count, const std::function<void(std::size_t)>& fn,
-             Dispatch mode = Dispatch::Counter);
+    void run(std::size_t count, const std::function<void(std::size_t)>& fn);
 
     /**
      * Asynchronous half of run(): publish the job to the workers and
@@ -99,8 +80,7 @@ class WorkerPool
      * wait() must follow every dispatch().
      */
     void dispatch(std::size_t count,
-                  const std::function<void(std::size_t)>& fn,
-                  Dispatch mode = Dispatch::Counter);
+                  const std::function<void(std::size_t)>& fn);
 
     /**
      * Complete a dispatch(): the caller joins as a lane (helping drain
@@ -120,8 +100,6 @@ class WorkerPool
     const std::function<void(std::size_t)>* job_ = nullptr;
     std::size_t count_ = 0;
     bool pending_ = false; ///< a dispatch() awaits its wait()
-    Dispatch mode_ = Dispatch::Counter;
-    std::unique_ptr<MpmcRing<std::size_t>> steal_; ///< Steal-mode tasks
     std::atomic<std::size_t> next_{0};
     std::atomic<std::uint64_t> generation_{0};
     std::atomic<int> active_{0};

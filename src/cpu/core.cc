@@ -15,7 +15,6 @@ O3Core::O3Core(int id, const CoreConfig& config, TraceSource& trace,
 void
 O3Core::tick(Cycle master_cycle)
 {
-    tick_master_cycle_ = master_cycle;
     cpu_budget_ += cfg_.cpu_per_dram_clk;
     while (cpu_budget_ >= 1.0) {
         cpu_budget_ -= 1.0;
@@ -23,55 +22,9 @@ O3Core::tick(Cycle master_cycle)
     }
 }
 
-void
-O3Core::setBatchSink(std::vector<SharedLlc::CoreRequest>* batch)
-{
-    batch_ = batch;
-}
-
-void
-O3Core::postCompletion(Cycle due, std::function<void()> fn)
-{
-    inbox_staged_.emplace_back(due, std::move(fn));
-}
-
-void
-O3Core::runWindow(Cycle begin, Cycle end)
-{
-    for (auto& [due, fn] : inbox_staged_)
-        inbox_.push({due, inbox_seq_++, std::move(fn)});
-    inbox_staged_.clear();
-    for (Cycle u = begin; u < end; ++u) {
-        while (!inbox_.empty() && inbox_.top().due <= u) {
-            auto fn = inbox_.top().fn;
-            inbox_.pop();
-            if (fn)
-                fn();
-        }
-        tick(u);
-    }
-}
-
 bool
 O3Core::dispatchMem(Cycle master_cycle)
 {
-    if (batch_) {
-        // Batched mode: record the request; the serial phase replays
-        // it. No back-pressure — a full MSHR file parks the request
-        // LLC-side instead of stalling dispatch.
-        if (current_.is_store) {
-            batch_->push_back({master_cycle, current_.addr, true, id_, {}});
-            window_.push_back({true, false});
-            ++stores_issued_;
-            return true;
-        }
-        window_.push_back({false, true});
-        Slot* slot = &window_.back();
-        batch_->push_back({master_cycle, current_.addr, false, id_,
-                           [slot] { slot->completed = true; }});
-        ++loads_issued_;
-        return true;
-    }
     if (current_.is_store) {
         // Stores are posted: occupy a completed window slot.
         if (!llc_.access(current_.addr, true, id_, {}, master_cycle))
@@ -108,7 +61,6 @@ O3Core::cpuCycle(Cycle master_cycle)
         if (!finished_ && retired_ >= cfg_.target_insts) {
             finished_ = true;
             finish_cycles_ = cpu_cycles_;
-            finish_master_cycle_ = tick_master_cycle_;
         }
     }
 

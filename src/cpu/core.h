@@ -10,10 +10,7 @@
 
 #include <deque>
 #include <memory>
-#include <queue>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/stats.h"
 #include "common/types.h"
@@ -50,36 +47,6 @@ class O3Core
     std::uint64_t retired() const { return retired_; }
     std::uint64_t cpuCycles() const { return cpu_cycles_; }
 
-    // --- Batched mode (engine v2 threaded cores) -------------------------
-    /**
-     * Enter batched mode: memory requests are recorded into @p batch
-     * (stamped with their master cycle, in nondecreasing order) instead
-     * of accessing the LLC, and dispatch never back-pressures — the
-     * serial phase replays the batch in canonical core order and parks
-     * MSHR-full requests LLC-side. @p batch must outlive the core's use.
-     */
-    void setBatchSink(std::vector<SharedLlc::CoreRequest>* batch);
-
-    /**
-     * Serial phase: stage a load completion for this core. Fired at
-     * @p due inside the core's next parallel window (a min-heap orders
-     * entries by due cycle; stage order breaks ties, and tied entries
-     * are observationally interchangeable — each just completes one
-     * window slot).
-     */
-    void postCompletion(Cycle due, std::function<void()> fn);
-
-    /**
-     * Parallel phase: run master cycles [begin, end), firing staged
-     * completions at their due cycles. Only this core's state is
-     * touched, so windows of different cores run concurrently.
-     */
-    void runWindow(Cycle begin, Cycle end);
-
-    /** Master cycle during which the instruction target was reached
-     * (meaningful once done()). */
-    Cycle finishMasterCycle() const { return finish_master_cycle_; }
-
     /** Instructions per CPU cycle at the moment the target was reached. */
     double ipc() const;
 
@@ -112,28 +79,6 @@ class O3Core
     bool finished_ = false;
     bool trace_exhausted_ = false;
     double cpu_budget_ = 0.0;
-
-    // Batched mode state. inbox_staged_ is written by the serial phase
-    // and moved into the core-local heap at window start, so the two
-    // sides are never touched concurrently.
-    std::vector<SharedLlc::CoreRequest>* batch_ = nullptr;
-    std::vector<std::pair<Cycle, std::function<void()>>> inbox_staged_;
-    struct Pending
-    {
-        Cycle due;
-        std::uint64_t seq; ///< stage order; deterministic tie-break
-        std::function<void()> fn;
-        bool operator>(const Pending& o) const
-        {
-            return due != o.due ? due > o.due : seq > o.seq;
-        }
-    };
-    std::priority_queue<Pending, std::vector<Pending>,
-                        std::greater<Pending>>
-        inbox_;
-    std::uint64_t inbox_seq_ = 0;
-    Cycle finish_master_cycle_ = 0;
-    Cycle tick_master_cycle_ = 0; ///< cycle of the tick in progress
 
     std::uint64_t loads_issued_ = 0;
     std::uint64_t stores_issued_ = 0;

@@ -158,21 +158,14 @@ SharedLlc::access(Addr addr, bool is_store, int source,
     if (m >= 0) {
         ++stats_.load_misses;
         ++stats_.mshr_merges;
-        mshrs_[static_cast<std::size_t>(m)].waiters.emplace_back(
-            source, std::move(done));
+        mshrs_[static_cast<std::size_t>(m)].waiters.push_back(
+            std::move(done));
         return true;
     }
     if (mshrs_in_use_ >= cfg_.mshrs)
         return false;
     ++stats_.load_misses;
-    allocateMshrAndFetch(line, source, std::move(done), now);
-    return true;
-}
 
-void
-SharedLlc::allocateMshrAndFetch(Addr line, int core,
-                                std::function<void()> done, Cycle now)
-{
     // Allocate an MSHR and mail the fill request; controller read-queue
     // admission happens shard-side at ingest.
     int free = -1;
@@ -187,13 +180,14 @@ SharedLlc::allocateMshrAndFetch(Addr line, int core,
     mshr.line_addr = line;
     mshr.make_dirty = false;
     mshr.waiters.clear();
-    mshr.waiters.emplace_back(core, std::move(done));
+    mshr.waiters.push_back(std::move(done));
     ++mshrs_in_use_;
 
     Addr full = line * static_cast<Addr>(cfg_.line_bytes);
     dram::DecodedAddr dec = mapper_.decode(full);
-    memory_.submitRead(full, dec, core,
+    memory_.submitRead(full, dec, source,
                        [this, line](Cycle at) { onFill(line, at); }, now);
+    return true;
 }
 
 void
@@ -203,14 +197,9 @@ SharedLlc::onFill(Addr line_addr, Cycle now)
     QP_ASSERT(m >= 0, "fill without a matching MSHR");
     Mshr& mshr = mshrs_[static_cast<std::size_t>(m)];
     installLine(line_addr, mshr.make_dirty, now);
-    for (auto& [core, fn] : mshr.waiters) {
-        if (!fn)
-            continue;
-        if (router_)
-            router_(core, now, std::move(fn));
-        else
+    for (auto& fn : mshr.waiters)
+        if (fn)
             fn();
-    }
     mshr.valid = false;
     mshr.waiters.clear();
     --mshrs_in_use_;
@@ -245,112 +234,6 @@ SharedLlc::tick(Cycle now)
 }
 
 void
-SharedLlc::setCompletionRouter(CompletionRouter router)
-{
-    router_ = std::move(router);
-}
-
-void
-SharedLlc::admitRetries(Cycle now)
-{
-    while (!retry_queue_.empty() && mshrs_in_use_ < cfg_.mshrs) {
-        CoreRequest req = std::move(retry_queue_.front());
-        retry_queue_.pop_front();
-        // The line may have been installed (or its fill allocated) by
-        // a later request while this one was parked; re-dispatch
-        // through the normal paths so it merges or hits correctly.
-        replayOne(req, req.source, now);
-    }
-}
-
-void
-SharedLlc::replayOne(CoreRequest& req, int core, Cycle now)
-{
-    Addr line = lineAddr(req.addr);
-    Line* hit = findLine(line);
-
-    if (req.is_store) {
-        if (hit) {
-            ++stats_.store_hits;
-            hit->dirty = true;
-            hit->lru = ++lru_clock_;
-            return;
-        }
-        int m = findMshr(line);
-        if (m >= 0) {
-            mshrs_[static_cast<std::size_t>(m)].make_dirty = true;
-            ++stats_.store_misses;
-            return;
-        }
-        ++stats_.store_misses;
-        installLine(line, true, now);
-        return;
-    }
-
-    if (hit) {
-        ++stats_.load_hits;
-        hit->lru = ++lru_clock_;
-        router_(core, now + static_cast<Cycle>(cfg_.hit_latency),
-                std::move(req.done));
-        return;
-    }
-    int m = findMshr(line);
-    if (m >= 0) {
-        ++stats_.load_misses;
-        ++stats_.mshr_merges;
-        mshrs_[static_cast<std::size_t>(m)].waiters.emplace_back(
-            core, std::move(req.done));
-        return;
-    }
-    if (mshrs_in_use_ >= cfg_.mshrs) {
-        // Park instead of stalling the (already-advanced) core; the
-        // documented divergence point of batched mode.
-        req.at = now;
-        retry_queue_.push_back(std::move(req));
-        return;
-    }
-    ++stats_.load_misses;
-    allocateMshrAndFetch(line, core, std::move(req.done), now);
-}
-
-void
-SharedLlc::replayWindow(Cycle begin, Cycle end,
-                        std::vector<std::vector<CoreRequest>>& batches,
-                        Cycle clip)
-{
-    QP_ASSERT(router_, "replayWindow requires batched mode");
-    // Per-core read cursors; each batch is stamped in nondecreasing
-    // cycle order by construction.
-    std::vector<std::size_t> cursor(batches.size(), 0);
-    for (Cycle u = begin; u < end && u <= clip; ++u) {
-        admitRetries(u);
-        drainWritebacks(u);
-        for (std::size_t c = 0; c < batches.size(); ++c) {
-            auto& batch = batches[c];
-            std::size_t& i = cursor[c];
-            while (i < batch.size() && batch[i].at == u) {
-                CoreRequest& req = batch[i];
-                if (req.is_store)
-                    ++stats_.stores;
-                else
-                    ++stats_.loads;
-                replayOne(req, static_cast<int>(c), u);
-                ++i;
-            }
-        }
-    }
-    for (auto& batch : batches)
-        batch.clear();
-}
-
-void
-SharedLlc::tickBatched(Cycle now)
-{
-    admitRetries(now);
-    drainWritebacks(now);
-}
-
-void
 SharedLlc::warmInstall(Addr addr)
 {
     Addr line = lineAddr(addr);
@@ -364,8 +247,7 @@ SharedLlc::quiesced() const
     for (const auto& q : pending_writebacks_)
         if (!q.empty())
             return false;
-    return mshrs_in_use_ == 0 && hit_events_.empty() &&
-           retry_queue_.empty();
+    return mshrs_in_use_ == 0 && hit_events_.empty();
 }
 
 } // namespace qprac::cpu

@@ -77,55 +77,6 @@ class SharedLlc
     /** Advance; delivers hit completions and drains pending writebacks. */
     void tick(Cycle now);
 
-    // --- Batched-replay mode (engine v2 threaded cores) -----------------
-    /** One core->LLC request recorded during a parallel core window. */
-    struct CoreRequest
-    {
-        Cycle at = 0; ///< master cycle the core issued it
-        Addr addr = 0;
-        bool is_store = false;
-        int source = 0;
-        std::function<void()> done; ///< loads only
-    };
-
-    /**
-     * Where load completions go in batched mode: (core, due cycle,
-     * callback). The System routes them into per-core inboxes; each
-     * core fires them at the due cycle inside its own parallel window.
-     */
-    using CompletionRouter =
-        std::function<void(int core, Cycle due, std::function<void()> fn)>;
-
-    /**
-     * Enter batched-replay mode. Cores then record their requests into
-     * per-core batches instead of calling access(), and the engine's
-     * serial phase replays them here in canonical (cycle, core) order.
-     * Load completions — hits and fills alike — leave through @p router
-     * instead of firing inline, and an access that finds the MSHR file
-     * full parks in a FIFO retry queue instead of stalling its core
-     * (the one place this mode's timing may diverge from the serial
-     * model; it is still deterministic at every thread count).
-     */
-    void setCompletionRouter(CompletionRouter router);
-
-    /**
-     * Serial phase, replay pass: for each cycle u in [begin, end),
-     * admit parked retries, drain pending writebacks, then replay
-     * every core's batch entries stamped u in core order. Entries
-     * stamped past @p clip are dropped (the run finished at clip).
-     * Batches are consumed (cleared) by the call.
-     */
-    void replayWindow(Cycle begin, Cycle end,
-                      std::vector<std::vector<CoreRequest>>& batches,
-                      Cycle clip);
-
-    /**
-     * Serial phase, delivery pass: per-cycle retry admission and
-     * writeback drain for cycles the replay pass has not reached yet
-     * (fills delivered at @p now may free MSHRs and evict dirty lines).
-     */
-    void tickBatched(Cycle now);
-
     /**
      * Install a line clean at time zero without touching stats or DRAM
      * (cache warmup for short simulations).
@@ -151,9 +102,7 @@ class SharedLlc
         Addr line_addr = 0;
         bool valid = false;
         bool make_dirty = false;
-        /** (source core, callback); the core id routes batched-mode
-         * completions, plain mode fires the callback directly. */
-        std::vector<std::pair<int, std::function<void()>>> waiters;
+        std::vector<std::function<void()>> waiters;
     };
 
     Addr lineAddr(Addr addr) const;
@@ -165,10 +114,6 @@ class SharedLlc
     void onFill(Addr line_addr, Cycle now);
     void pushWriteback(Addr line_addr);
     void drainWritebacks(Cycle now);
-    void replayOne(CoreRequest& req, int core, Cycle now);
-    void admitRetries(Cycle now);
-    void allocateMshrAndFetch(Addr line, int core,
-                              std::function<void()> done, Cycle now);
 
     LlcConfig cfg_;
     ctrl::MemorySystem& memory_;
@@ -195,10 +140,6 @@ class SharedLlc
      * shard ingest.
      */
     std::vector<std::deque<Addr>> pending_writebacks_;
-    /** Batched mode only: requests parked on a full MSHR file, admitted
-     * FIFO at each serial-phase cycle as fills free entries. */
-    std::deque<CoreRequest> retry_queue_;
-    CompletionRouter router_; ///< non-null = batched-replay mode
     LlcStats stats_;
 };
 

@@ -194,8 +194,8 @@ class MemorySystem
 
     /**
      * Run one shard's tick loop over [begin, end) — the task body of
-     * runEpoch, exposed so the v2 engine can compose shard windows
-     * with core windows in a single (work-stealing) pool dispatch.
+     * runEpoch, exposed so the pipelined engine can dispatch a shard
+     * window to the pool and overlap it with its main phase.
      * Safe to call from any thread, one call per shard at a time.
      */
     void runShard(int channel, Cycle begin, Cycle end, Cycle emit_guard);

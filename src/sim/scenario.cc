@@ -79,13 +79,13 @@ const std::vector<std::string>&
 ScenarioConfig::keys()
 {
     static const std::vector<std::string> k = {
-        "source",   "mitigation", "backend",  "psq_size",
-        "nbo",      "nmit",       "recovery", "channels",
-        "ranks",    "mapping",    "insts",    "cores",
-        "seed",     "llc_mb",     "threads",  "baseline",
-        "r1",       "attack_cycles", "pipeline", "steal",
-        "corepar",  "skip",       "subarrays",  "counter-update",
-        "cuq_depth", "trace",     "trace-out",  "metrics-interval",
+        "source",    "mitigation",     "backend",   "psq_size",
+        "nbo",       "nmit",           "recovery",  "channels",
+        "ranks",     "mapping",        "insts",     "cores",
+        "seed",      "llc_mb",         "threads",   "baseline",
+        "r1",        "attack_cycles",  "pipeline",  "skip",
+        "subarrays", "counter-update", "cuq_depth", "trace",
+        "trace-out", "metrics-interval",
     };
     return k;
 }
@@ -283,15 +283,24 @@ ScenarioConfig::set(const std::string& key, const std::string& value,
     if (key == "pipeline")
         return parseEngineToggle(value, &engine.pipeline) ||
                fail("expected auto/on/off");
-    if (key == "steal")
-        return parseEngineToggle(value, &engine.steal) ||
-               fail("expected auto/on/off");
-    if (key == "corepar")
-        return parseEngineToggle(value, &engine.corepar) ||
-               fail("expected auto/on/off");
     if (key == "skip")
         return parseEngineToggle(value, &engine.skip) ||
                fail("expected auto/on/off");
+    // Retired engine keys, accepted so existing configs still load.
+    // Work-stealing dispatch is gone; any toggle value is ignored.
+    EngineToggle retired = EngineToggle::Auto;
+    if (key == "steal")
+        return parseEngineToggle(value, &retired) ||
+               fail("expected auto/on/off");
+    // Threaded cores are gone too; only the spellings that meant the
+    // serial core model remain valid.
+    if (key == "corepar") {
+        if (!parseEngineToggle(value, &retired))
+            return fail("expected auto/on/off");
+        return retired != EngineToggle::On ||
+               fail("threaded cores (corepar=on) were removed; use "
+                    "auto or off");
+    }
     if (err)
         *err = strCat("unknown config key '", key, "'");
     return false;
@@ -338,10 +347,6 @@ ScenarioConfig::get(const std::string& key) const
         return attack_cycles ? std::to_string(attack_cycles) : "default";
     if (key == "pipeline")
         return toString(engine.pipeline);
-    if (key == "steal")
-        return toString(engine.steal);
-    if (key == "corepar")
-        return toString(engine.corepar);
     if (key == "skip")
         return toString(engine.skip);
     if (key == "subarrays")

@@ -35,9 +35,8 @@ const char* const kUsage =
     "in command-line order on top of --config FILE (an INI of\n"
     "key = value lines; keys: source mitigation backend psq_size nbo\n"
     "nmit recovery channels ranks mapping insts cores seed llc_mb\n"
-    "threads baseline r1 attack_cycles pipeline steal corepar skip\n"
-    "subarrays counter-update cuq_depth trace trace-out\n"
-    "metrics-interval).\n"
+    "threads baseline r1 attack_cycles pipeline skip subarrays\n"
+    "counter-update cuq_depth trace trace-out metrics-interval).\n"
     "Sources: workload:NAME,\n"
     "trace:PATH, attack:NAME (--list-attacks shows each family's\n"
     "accepted keys). --recovery selects the ALERT_n blocking domain:\n"
@@ -46,9 +45,8 @@ const char* const kUsage =
     "--sweep takes key=v1,v2 or key=lo:hi[:step] and runs the\n"
     "cross-product. --threads is the total budget, shared between\n"
     "sweep points and the per-channel shard engine; results are\n"
-    "bit-identical at every thread count. pipeline/steal/corepar/skip\n"
-    "(auto|on|off) select the engine layers (pipelined main phase,\n"
-    "work-stealing dispatch, threaded cores, next-event cycle\n"
+    "bit-identical at every thread count. pipeline/skip (auto|on|off)\n"
+    "select the engine layers (pipelined main phase, next-event cycle\n"
     "skipping; see sim/system.h).\n"
     "Observability (result-neutral): trace=CATS enables cycle-stamped\n"
     "event tracing (CATS is all|off or a +-separated category list:\n"
@@ -62,7 +60,7 @@ const char* const kUsage =
     "--json / --csv emit structured results.\n"
     "--cache-dir keeps one content-addressed JSON sidecar per point\n"
     "(named by the scenario hash, which excludes result-neutral keys:\n"
-    "threads/pipeline/steal/skip/trace/trace-out/metrics-interval);\n"
+    "threads/pipeline/skip/trace/trace-out/metrics-interval);\n"
     "reruns and resumed grids reuse hits\n"
     "byte-for-byte. --isolate forks one qprac_sim per sweep point so a\n"
     "crashing config becomes a recorded failed point instead of killing\n"

@@ -9,15 +9,16 @@ namespace {
 
 /**
  * Bumping this tag re-keys the whole cache; see the header contract.
- * v1: all ScenarioConfig keys except threads/pipeline/steal/skip and
- * the observability keys (trace/trace-out/metrics-interval), corepar
- * normalized auto -> off. (Excluded keys are never serialized, so
- * adding `skip` in PR 9 and the observability keys in PR 10 changed no
- * canonical key and needed no tag bump.) The counter-architecture keys (subarrays,
- * counter-update, cuq_depth) serialize only when counter-update is not
- * inline: with inline updates they cannot affect any result, and
- * omitting them keeps every pre-subarray cache entry and golden hash
- * valid without a tag bump.
+ * v1: all ScenarioConfig keys except threads/pipeline/skip and the
+ * observability keys (trace/trace-out/metrics-interval), plus a
+ * constant corepar=off line after attack_cycles (the retired
+ * threaded-core key, whose only surviving value is off). Excluded keys
+ * are never serialized, so adding `skip` and the observability keys
+ * changed no canonical key and needed no tag bump. The
+ * counter-architecture keys (subarrays, counter-update, cuq_depth)
+ * serialize only when counter-update is not inline: with inline
+ * updates they cannot affect any result, and omitting them keeps every
+ * pre-subarray cache entry and golden hash valid without a tag bump.
  */
 constexpr const char* kFormatTag = "qprac-scenario-v1";
 
@@ -56,9 +57,8 @@ const std::vector<std::string>&
 scenarioHashExcludedKeys()
 {
     static const std::vector<std::string> keys = {
-        "threads",  "pipeline",  "steal",
-        "skip",     "trace",     "trace-out",
-        "metrics-interval"};
+        "threads",   "pipeline",  "skip",
+        "trace",     "trace-out", "metrics-interval"};
     return keys;
 }
 
@@ -71,16 +71,12 @@ scenarioCanonicalKey(const ScenarioConfig& cfg)
     for (const auto& key : scenarioHashedKeys()) {
         if (inline_updates && isCounterArchKey(key))
             continue;
-        std::string value = cfg.get(key);
-        // corepar=auto resolves to off (EngineOptions contract: autos
-        // are pure functions of the config); hash the resolved value
-        // so the spellings share one cache entry.
-        if (key == "corepar" && value == "auto")
-            value = "off";
         out += key;
         out += '=';
-        out += value;
+        out += cfg.get(key);
         out += '\n';
+        if (key == "attack_cycles")
+            out += "corepar=off\n"; // retired key; see the header
     }
     return out;
 }

@@ -7,7 +7,7 @@
  * serialization (the same canonical forms the INI round-trip pins),
  * restricted to the keys that can change simulation *results*:
  *
- *  - `threads`, `pipeline`, `steal` and `skip` are excluded. The
+ *  - `threads`, `pipeline` and `skip` are excluded. The
  *    engine guarantees (and the determinism suite pins) that thread
  *    counts, the v1/v2 schedule choice and cycle skipping are
  *    bit-identical, so a result computed at threads=4 with the
@@ -17,11 +17,10 @@
  *    observability layer (src/obs) records at state-change points and
  *    never perturbs simulation state, so a traced run's result is the
  *    untraced run's result.
- *  - `corepar` IS hashed, because the threaded-core model is
- *    deterministic but not bit-identical to the serial core model
- *    (MSHR-saturation handling diverges); its `auto` spelling is
- *    normalized to the resolved default `off` so auto and off share
- *    a cache entry.
+ *  - A constant `corepar=off` line follows `attack_cycles`. It is
+ *    the fixed remnant of the retired threaded-core key (always off
+ *    now), kept so every canonical key, golden hash and cache sidecar
+ *    written before the key was retired stays valid.
  *  - The counter-architecture keys (`subarrays`, `counter-update`,
  *    `cuq_depth`) are hashed, but serialize only when `counter-update`
  *    is not `inline`: inline updates make them result-neutral storage

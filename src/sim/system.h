@@ -10,21 +10,17 @@
  * every channel by up to MemorySystem::epochLength() cycles — across a
  * worker pool when config.threads > 1.
  *
- * Engine v2 (EngineOptions) adds three layers on top:
+ * Engine v2 (EngineOptions) adds two layers on top:
  *  - pipeline: halve the window to epochLength()/2 and run the serial
  *    main phase over window k while the workers execute the shard
  *    window k-1 — the lookahead bound then still holds with a full
  *    window to spare, so CPU-side and DRAM-side simulation overlap
  *    instead of alternating. Bit-identical to the v1 schedule.
- *  - steal: hand shard/core tasks to the pool through a lock-free MPMC
- *    ring (work stealing) instead of the static claim counter.
- *    Result-neutral by construction.
- *  - corepar: also run the cores in parallel, one task per core, with
- *    core->LLC requests batched per window and replayed by the serial
- *    phase in canonical (cycle, core) order. Deterministic at every
- *    thread count, but opt-in: its no-dispatch-backpressure MSHR
- *    handling (and cores ticking to their window end after finishing)
- *    deviates from the serial model under MSHR saturation.
+ *  - skip: next-event cycle skipping inside each shard window
+ *    (ctrl/memory_system.h). Bit-identical to dense ticking.
+ *
+ * The LLC and the cores always run serially on the calling thread, in
+ * core order, so the core model is the same in every mode.
  *
  * Thread count never changes results in any mode; see
  * ctrl/memory_system.h for the determinism argument.
@@ -79,11 +75,6 @@ struct EngineOptions
     /** Pipelined main phase. Auto = on when the completion lookahead
      * allows a two-window split (it does for every real timing). */
     EngineToggle pipeline = EngineToggle::Auto;
-    /** Work-stealing task dispatch. Auto = on whenever a pool exists. */
-    EngineToggle steal = EngineToggle::Auto;
-    /** Threaded cores (batched replay). Auto = off: the mode is
-     * deterministic but not bit-identical to the serial core model. */
-    EngineToggle corepar = EngineToggle::Auto;
     /** Next-event cycle skipping in the shard loops (ctrl/
      * memory_system.h). Auto = on: the command sequence is
      * bit-identical to dense ticking by the horizon contract, so only
@@ -98,8 +89,7 @@ struct EngineOptions
  * with the overlap live a run keeps at most `threads` threads busy —
  * the invariant sweep x engine nesting relies on (innerThreadBudget).
  */
-int enginePoolDegree(int threads, int channels, bool pipeline,
-                     bool corepar, int cores);
+int enginePoolDegree(int threads, int channels, bool pipeline);
 
 /** System-level configuration. */
 struct SystemConfig
@@ -117,12 +107,13 @@ struct SystemConfig
     dram::CounterUpdateConfig counter_update;
     Cycle max_cycles = 500'000'000;
     /**
-     * Worker threads for the shard phase (clamped to the channel
-     * count; <= 1 runs every shard on the calling thread). Results are
-     * bit-identical at every value.
+     * Thread budget for the shard phase: the pool has
+     * enginePoolDegree() lanes — at most the channel count, plus the
+     * caller lane when pipelined. <= 1 runs every shard on the calling
+     * thread. Results are bit-identical at every value.
      */
     int threads = 1;
-    /** Engine v2 switches (pipeline / steal / corepar). */
+    /** Engine v2 switches (pipeline / skip). */
     EngineOptions engine;
     /**
      * Observability hub (obs/obs.h); null = tracing and metrics off.
@@ -194,8 +185,6 @@ class System
 
     /** Resolved engine state (for tests and introspection). */
     bool pipelined() const { return pipeline_; }
-    bool stealing() const { return steal_; }
-    bool coreParallel() const { return corepar_; }
     bool skipping() const { return skip_; }
     int poolDegree() const { return pool_ ? pool_->degree() : 1; }
 
@@ -204,8 +193,6 @@ class System
     Cycle runAlternating();
     /** Pipelined schedule (main phase one window ahead of shards). */
     Cycle runPipelined();
-    /** Pipelined schedule with threaded cores (batched replay). */
-    Cycle runCorePar();
     SimResult collectResult(Cycle cycles) const;
 
     SystemConfig cfg_;
@@ -216,12 +203,8 @@ class System
     std::vector<std::unique_ptr<cpu::O3Core>> cores_;
     std::unique_ptr<WorkerPool> pool_; ///< null when degree would be 1
     bool pipeline_ = false; ///< resolved cfg_.engine.pipeline
-    bool steal_ = false;    ///< resolved cfg_.engine.steal
-    bool corepar_ = false;  ///< resolved cfg_.engine.corepar
     bool skip_ = false;     ///< resolved cfg_.engine.skip
-    Cycle step_ = 1; ///< pipelined/corepar window length
-    /** corepar: per-core request batches consumed by replayWindow. */
-    std::vector<std::vector<cpu::SharedLlc::CoreRequest>> batches_;
+    Cycle step_ = 1; ///< pipelined window length
 };
 
 } // namespace qprac::sim

@@ -289,13 +289,15 @@ TEST(Determinism, ThreadsKeyValidatesAndSupportsAuto)
     EXPECT_FALSE(cfg.set("threads", "5000", &err));
 }
 
-// --- Engine v2 (pipelined main phase, stealing, threaded cores) --------
+// --- Engine v2 (pipelined main phase) ---------------------------------
 
 TEST(Determinism, PipelinedStealingEngineBitIdenticalToSerialV1)
 {
-    // The heart of the engine v2 contract: pipeline=on + steal=on must
-    // reproduce the v1 serial engine (pipeline=off, steal=off,
-    // threads=1) bit for bit, at every channel and thread count.
+    // The heart of the engine v2 contract: pipeline=on must reproduce
+    // the v1 serial engine (pipeline=off, threads=1) bit for bit, at
+    // every channel and thread count. The retired `steal` key is set
+    // both ways to pin that old configs carrying it load and that it
+    // changes nothing.
     for (int channels : {1, 2, 4, 8}) {
         ScenarioConfig v1 = baseConfig(channels, "429.mcf");
         std::string err;
@@ -314,8 +316,9 @@ TEST(Determinism, PipelinedStealingEngineBitIdenticalToSerialV1)
 
 TEST(Determinism, V1EngineStillMatchesAcrossThreadsWithStealing)
 {
-    // pipeline=off keeps the alternating schedule; stealing dispatch
-    // alone must not change a bit either.
+    // pipeline=off keeps the alternating schedule; the pool dispatch
+    // must not change a bit across thread counts, and the retired
+    // `steal=on` spelling is accepted and ignored.
     for (int channels : {2, 4}) {
         ScenarioConfig cfg = baseConfig(channels, "450.soplex");
         std::string err;
@@ -345,54 +348,11 @@ TEST(Determinism, PipelinedEngineDeterministicOnAlertActiveConfig)
             << "threads=" << threads;
 }
 
-TEST(Determinism, CoreParallelEngineThreadCountInvariant)
-{
-    // corepar is deterministic (not bit-identical to the serial core
-    // model, so it is compared against itself at threads=1).
-    for (int channels : {1, 2, 4}) {
-        ScenarioConfig cfg = baseConfig(channels, "429.mcf");
-        std::string err;
-        ASSERT_TRUE(cfg.set("corepar", "on", &err)) << err;
-        const std::string serial = runWithThreads(cfg, 1);
-        for (int threads : {2, 4})
-            EXPECT_EQ(serial, runWithThreads(cfg, threads))
-                << "channels=" << channels << " threads=" << threads;
-    }
-}
-
-TEST(Determinism, CoreParallelEngineRepeatedRunsStable)
-{
-    ScenarioConfig cfg = baseConfig(2, "450.soplex");
-    std::string err;
-    ASSERT_TRUE(cfg.set("corepar", "on", &err)) << err;
-    EXPECT_EQ(runWithThreads(cfg, 4), runWithThreads(cfg, 4));
-}
-
-TEST(Determinism, CoreParallelTracksSerialResultsClosely)
-{
-    // corepar's documented divergences (MSHR-saturation handling, core
-    // overshoot stats) do not bite on an ordinary config: the headline
-    // metrics must match the serial engine exactly here.
-    ScenarioConfig serial_cfg = baseConfig(2, "429.mcf");
-    std::string err;
-    ASSERT_TRUE(serial_cfg.set("pipeline", "off", &err)) << err;
-    ScenarioConfig corepar_cfg = baseConfig(2, "429.mcf");
-    ASSERT_TRUE(corepar_cfg.set("corepar", "on", &err)) << err;
-    ScenarioResult a = sim::runScenario(serial_cfg, 1);
-    ScenarioResult b = sim::runScenario(corepar_cfg, 1);
-    EXPECT_EQ(a.sim.cycles, b.sim.cycles);
-    EXPECT_EQ(a.sim.acts, b.sim.acts);
-    EXPECT_EQ(a.sim.stats.get("llc.load_misses"),
-              b.sim.stats.get("llc.load_misses"));
-    EXPECT_EQ(a.sim.stats.get("ctrl.reads_done"),
-              b.sim.stats.get("ctrl.reads_done"));
-}
-
 TEST(Determinism, EngineKeysValidateAndRoundTrip)
 {
     ScenarioConfig cfg;
     std::string err;
-    for (const char* key : {"pipeline", "steal", "corepar"}) {
+    for (const char* key : {"pipeline", "skip"}) {
         EXPECT_EQ(cfg.get(key), "auto") << key;
         EXPECT_TRUE(cfg.set(key, "on", &err)) << key << ": " << err;
         EXPECT_EQ(cfg.get(key), "on") << key;
@@ -401,16 +361,35 @@ TEST(Determinism, EngineKeysValidateAndRoundTrip)
         EXPECT_TRUE(cfg.set(key, "auto", &err)) << key << ": " << err;
         EXPECT_FALSE(cfg.set(key, "maybe", &err)) << key;
     }
-    // INI round-trip carries the engine keys.
+    // Retired keys: every old spelling still loads, except
+    // corepar=on, whose threaded-core mode no longer exists.
+    for (const char* value : {"auto", "on", "off", "true", "0"})
+        EXPECT_TRUE(cfg.set("steal", value, &err)) << value << ": " << err;
+    for (const char* value : {"auto", "off", "false", "0"})
+        EXPECT_TRUE(cfg.set("corepar", value, &err))
+            << value << ": " << err;
+    for (const char* value : {"on", "true", "1"}) {
+        EXPECT_FALSE(cfg.set("corepar", value, &err)) << value;
+        EXPECT_NE(err.find("removed"), std::string::npos) << err;
+    }
+    EXPECT_FALSE(cfg.set("steal", "maybe", &err));
+    EXPECT_FALSE(cfg.set("corepar", "maybe", &err));
+    // INI round-trip carries the live engine keys and drops the
+    // retired ones...
     ASSERT_TRUE(cfg.set("pipeline", "off", &err)) << err;
-    ASSERT_TRUE(cfg.set("corepar", "on", &err)) << err;
+    const std::string ini = cfg.toIni();
+    EXPECT_EQ(ini.find("steal"), std::string::npos) << ini;
+    EXPECT_EQ(ini.find("corepar"), std::string::npos) << ini;
     ScenarioConfig parsed;
-    ASSERT_TRUE(
-        ScenarioConfig::fromIniText(cfg.toIni(), &parsed, &err))
-        << err;
+    ASSERT_TRUE(ScenarioConfig::fromIniText(ini, &parsed, &err)) << err;
     EXPECT_EQ(parsed.get("pipeline"), "off");
-    EXPECT_EQ(parsed.get("steal"), "auto");
-    EXPECT_EQ(parsed.get("corepar"), "on");
+    EXPECT_EQ(parsed.toIni(), ini);
+    // ...while an old INI that still names them loads unchanged.
+    ScenarioConfig legacy;
+    ASSERT_TRUE(ScenarioConfig::fromIniText(
+        ini + "steal = on\ncorepar = off\n", &legacy, &err))
+        << err;
+    EXPECT_EQ(legacy.toIni(), ini);
 }
 
 TEST(Determinism, EnginePoolDegreeNeverExceedsThreadBudget)
@@ -423,21 +402,16 @@ TEST(Determinism, EnginePoolDegreeNeverExceedsThreadBudget)
     for (int threads : {1, 2, 3, 4, 8}) {
         for (int channels : {1, 2, 4, 8}) {
             for (bool pipeline : {false, true}) {
-                for (bool corepar : {false, true}) {
-                    const int d = enginePoolDegree(threads, channels,
-                                                   pipeline, corepar, 4);
-                    EXPECT_LE(d, std::max(1, threads));
-                    EXPECT_GE(d, 1);
-                }
+                const int d = enginePoolDegree(threads, channels, pipeline);
+                EXPECT_LE(d, std::max(1, threads));
+                EXPECT_GE(d, 1);
             }
         }
     }
     // v1 shape preserved: no pipeline, degree caps at the channel count.
-    EXPECT_EQ(enginePoolDegree(8, 2, false, false, 4), 2);
+    EXPECT_EQ(enginePoolDegree(8, 2, false), 2);
     // Pipeline adds exactly the caller lane.
-    EXPECT_EQ(enginePoolDegree(8, 2, true, false, 4), 3);
-    // corepar widens to channels + cores.
-    EXPECT_EQ(enginePoolDegree(8, 2, false, true, 4), 6);
+    EXPECT_EQ(enginePoolDegree(8, 2, true), 3);
 }
 
 TEST(Determinism, SweepReportsEngineThroughputBesideResults)

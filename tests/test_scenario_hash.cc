@@ -67,8 +67,9 @@ TEST(ScenarioHash, ResultNeutralKeysNeverMoveTheHash)
 {
     const ScenarioConfig base;
     const std::uint64_t h = scenarioHash(base);
-    // threads / pipeline / steal are bit-identity-guaranteed by the
-    // determinism suite, so every combination shares one cache entry.
+    // threads / pipeline / skip are bit-identity-guaranteed by the
+    // determinism suite, and the retired steal key is ignored, so every
+    // combination shares one cache entry.
     EXPECT_EQ(scenarioHash(withSets({{"threads", "4"}})), h);
     EXPECT_EQ(scenarioHash(withSets({{"threads", "1"}})), h);
     EXPECT_EQ(scenarioHash(withSets({{"pipeline", "on"}})), h);
@@ -88,13 +89,17 @@ TEST(ScenarioHash, ResultNeutralKeysNeverMoveTheHash)
     EXPECT_EQ(key.find("skip="), std::string::npos) << key;
 }
 
-TEST(ScenarioHash, CoreparIsHashedWithAutoNormalizedToOff)
+TEST(ScenarioHash, CanonicalKeyKeepsRetiredCoreparLine)
 {
+    // corepar left the key schema, but its constant `corepar=off` line
+    // stays right after attack_cycles so pre-retirement canonical keys,
+    // golden hashes and cache sidecars stay valid.
+    const std::string key = scenarioCanonicalKey(ScenarioConfig{});
+    EXPECT_NE(key.find("\nattack_cycles=default\ncorepar=off\n"),
+              std::string::npos)
+        << key;
+    // Both surviving spellings of the retired key alias the default.
     const std::uint64_t base = scenarioHash(ScenarioConfig{});
-    // corepar=on is deterministic but NOT bit-identical to the serial
-    // core model, so it must get its own cache entry...
-    EXPECT_NE(scenarioHash(withSets({{"corepar", "on"}})), base);
-    // ...while auto (which always resolves to off) aliases off.
     EXPECT_EQ(scenarioHash(withSets({{"corepar", "auto"}})), base);
     EXPECT_EQ(scenarioHash(withSets({{"corepar", "off"}})), base);
 }
