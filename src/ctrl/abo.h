@@ -125,6 +125,12 @@ class AboEngine
         return since;
     }
 
+    /** True when quiesceSince(bank) is set for some bank. */
+    bool anyQuiesce() const
+    {
+        return state_ == State::Quiesce || (bank_ && bank_->anyQuiesce());
+    }
+
     /** Controller reports an issued ACT (window budget accounting). */
     void noteActIssued(int bank = -1);
 

@@ -54,6 +54,8 @@ MemoryController::MemoryController(dram::DramDevice& dev,
     rank_ref_blocked_.assign(
         static_cast<std::size_t>(dev.organization().ranks), 0);
     abo_.setRefresh(&refresh_);
+    bank_kinds_.assign(banks, 0);
+    kind_banks_.reserve(banks);
     if (!abo_.channelScope()) {
         recovery_act_blocked_.assign(banks, 0);
         recovery_cas_blocked_.assign(banks, 0);
@@ -126,6 +128,8 @@ MemoryController::processCompletions(Cycle now)
 bool
 MemoryController::issueQuiescePre(Cycle now)
 {
+    if (!quiesceDemand())
+        return false;
     // Precharge open banks demanded by ABO quiesce or a pending REF —
     // but let row hits that were already queued when the quiesce began
     // drain first (they can still issue while quiescing). Closing their
@@ -229,6 +233,7 @@ MemoryController::noteActForPolicy(int flat_bank, Cycle now)
             !bank_rfm_pending_[b]) {
             bank_policy_acts_[b] = 0;
             bank_rfm_pending_[b] = 1;
+            ++bank_rfms_pending_;
             bank_rfm_since_[b] = now;
         }
     } else {
@@ -242,39 +247,41 @@ MemoryController::servicePerBankRfms(Cycle now)
     // Issue pending per-bank RFMs once every bank the configured scope
     // covers has drained; PerBank/SameBank leave the rest of the
     // channel running (DDR5 RAA semantics).
-    const dram::RfmScope scope = cfg_.rfm_policy.scope;
+    if (bank_rfms_pending_ == 0)
+        return false;
     auto coverage_idle = [&](int target) {
-        for (int i = 0; i < dev_.numBanks(); ++i) {
-            bool covered;
-            switch (scope) {
-              case dram::RfmScope::AllBank:
-                covered = true;
-                break;
-              case dram::RfmScope::SameBank:
-                covered = dev_.rankOf(i) == dev_.rankOf(target) &&
-                          dev_.bankIndexOf(i) == dev_.bankIndexOf(target);
-                break;
-              case dram::RfmScope::PerBank:
-              default:
-                covered = i == target;
-                break;
-            }
-            if (covered && !dev_.bank(i).idleAt(now))
+        for (int i = 0; i < dev_.numBanks(); ++i)
+            if (rfmCovers(target, i) && !dev_.bank(i).idleAt(now))
                 return false;
-        }
         return true;
     };
     for (int b = 0; b < dev_.numBanks(); ++b) {
         if (!bank_rfm_pending_[static_cast<std::size_t>(b)])
             continue;
         if (coverage_idle(b)) {
-            dev_.issueRfm(scope, b, now);
+            dev_.issueRfm(cfg_.rfm_policy.scope, b, now);
             bank_rfm_pending_[static_cast<std::size_t>(b)] = 0;
+            --bank_rfms_pending_;
             ++per_bank_policy_rfms_;
             return true;
         }
     }
     return false;
+}
+
+bool
+MemoryController::rfmCovers(int target, int bank) const
+{
+    switch (cfg_.rfm_policy.scope) {
+      case dram::RfmScope::AllBank:
+        return true;
+      case dram::RfmScope::SameBank:
+        return dev_.rankOf(bank) == dev_.rankOf(target) &&
+               dev_.bankIndexOf(bank) == dev_.bankIndexOf(target);
+      case dram::RfmScope::PerBank:
+      default:
+        return bank == target;
+    }
 }
 
 void
@@ -397,85 +404,89 @@ MemoryController::nextEventAt(Cycle now, WakeSource* why) const
     // Quiesce PREs: an open bank under quiesce demand precharges once
     // its PRE window expires. (The pending-old-hit carve-out can only
     // delay the PRE behind row-hit CASes, which are wakes themselves.)
-    for (int b = 0; b < dev_.numBanks(); ++b) {
-        if (!dev_.bank(b).isOpen())
-            continue;
-        const bool demand =
-            abo_.quiesceSince(b) != kNeverCycle ||
-            refresh_.pendingSince(dev_.rankOf(b)) != kNeverCycle ||
-            bank_rfm_pending_[static_cast<std::size_t>(b)];
-        if (demand)
-            concern(dev_.preReadyAt(b), WakeSource::CommandReady);
+    if (quiesceDemand()) {
+        for (int b = 0; b < dev_.numBanks(); ++b) {
+            if (!dev_.bank(b).isOpen())
+                continue;
+            const bool demand =
+                abo_.quiesceSince(b) != kNeverCycle ||
+                refresh_.pendingSince(dev_.rankOf(b)) != kNeverCycle ||
+                bank_rfm_pending_[static_cast<std::size_t>(b)];
+            if (demand)
+                concern(dev_.preReadyAt(b), WakeSource::CommandReady);
+        }
     }
 
     // Pending per-bank policy RFMs fire when their coverage drains.
-    for (int b = 0; b < dev_.numBanks(); ++b) {
-        if (!bank_rfm_pending_[static_cast<std::size_t>(b)])
-            continue;
-        const dram::RfmScope scope = cfg_.rfm_policy.scope;
-        Cycle ready = now + 1;
-        for (int i = 0; i < dev_.numBanks(); ++i) {
-            bool covered;
-            switch (scope) {
-              case dram::RfmScope::AllBank:
-                covered = true;
-                break;
-              case dram::RfmScope::SameBank:
-                covered = dev_.rankOf(i) == dev_.rankOf(b) &&
-                          dev_.bankIndexOf(i) == dev_.bankIndexOf(b);
-                break;
-              case dram::RfmScope::PerBank:
-              default:
-                covered = i == b;
-                break;
-            }
-            if (!covered)
+    if (bank_rfms_pending_ != 0) {
+        for (int b = 0; b < dev_.numBanks(); ++b) {
+            if (!bank_rfm_pending_[static_cast<std::size_t>(b)])
                 continue;
-            const dram::Bank& bank = dev_.bank(i);
-            if (bank.isOpen()) {
-                // The covering PRE (or the command chain closing the
-                // bank) is a wake of its own.
-                ready = kNeverCycle;
-                break;
+            Cycle ready = now + 1;
+            for (int i = 0; i < dev_.numBanks(); ++i) {
+                if (!rfmCovers(b, i))
+                    continue;
+                const dram::Bank& bank = dev_.bank(i);
+                if (bank.isOpen()) {
+                    // The covering PRE (or the command chain closing the
+                    // bank) is a wake of its own.
+                    ready = kNeverCycle;
+                    break;
+                }
+                ready = std::max(ready, bank.nextActReady());
             }
-            ready = std::max(ready, bank.nextActReady());
+            concern(ready, WakeSource::Recovery);
         }
-        concern(ready, WakeSource::Recovery);
     }
 
     // Queued requests: the earliest cycle any of them could make the
-    // scheduler issue a command. Gated candidates (an ACT behind a
-    // quiesce or pending REF/RFM, a CAS behind a pump) are excluded:
+    // scheduler issue a command. A request's concern depends only on
+    // its bank and on whether that bank is closed, holds the request's
+    // row (a hit) or another row (a conflict), so each (bank, kind)
+    // pair is evaluated once per queue. Gated candidates (an ACT behind
+    // a quiesce or pending REF/RFM, a CAS behind a pump) are excluded:
     // the gate opens only on a machine transition that is itself a
-    // wake, after which this horizon is recomputed.
+    // wake, after which this horizon is recomputed. So is a conflict
+    // PRE while the same queue still holds a hit on the open row:
+    // pickFrFcfs will not close that row until the hit's CAS (a concern
+    // itself, or gated behind a wake) has taken it out of the queue.
+    enum : std::uint8_t { kClosed = 1, kHit = 2, kConflict = 4 };
     auto queue_concern = [&](const RequestQueue& q, bool is_write) {
         for (int i = 0; i < q.size(); ++i) {
             const Request& r = q.at(i);
-            const dram::Bank& bank = dev_.bank(r.flat_bank);
-            if (bank.isOpen()) {
-                if (bank.openRow() == r.dec.row) {
-                    if (!abo_.allowCas(r.flat_bank))
-                        continue;
-                    concern(is_write ? dev_.writeReadyAt(r.flat_bank)
-                                     : dev_.readReadyAt(r.flat_bank),
+            const int b = r.flat_bank;
+            const dram::Bank& bank = dev_.bank(b);
+            const std::uint8_t kind = !bank.isOpen() ? kClosed
+                                      : bank.openRow() == r.dec.row
+                                          ? kHit
+                                          : kConflict;
+            std::uint8_t& seen = bank_kinds_[static_cast<std::size_t>(b)];
+            if (seen & kind)
+                continue;
+            if (!seen)
+                kind_banks_.push_back(b);
+            seen |= kind;
+            if (kind == kHit) {
+                if (abo_.allowCas(b))
+                    concern(is_write ? dev_.writeReadyAt(b)
+                                     : dev_.readReadyAt(b),
                             WakeSource::CommandReady);
-                } else {
-                    // Row conflict: PRE (never recovery-gated; the
-                    // hit-suppression check only defers it behind
-                    // CAS wakes).
-                    concern(dev_.preReadyAt(r.flat_bank),
-                            WakeSource::CommandReady);
-                }
-            } else {
-                if (!abo_.allowAct(r.flat_bank) ||
-                    bank_rfm_pending_[static_cast<std::size_t>(
-                        r.flat_bank)] ||
-                    refresh_.refPending(dev_.rankOf(r.flat_bank)))
-                    continue;
-                concern(dev_.actReadyAt(r.flat_bank),
-                        WakeSource::CommandReady);
+            } else if (kind == kClosed) {
+                if (abo_.allowAct(b) &&
+                    !bank_rfm_pending_[static_cast<std::size_t>(b)] &&
+                    !refresh_.refPending(dev_.rankOf(b)))
+                    concern(dev_.actReadyAt(b), WakeSource::CommandReady);
             }
         }
+        // Conflict PREs (never recovery-gated), once the whole queue
+        // has shown whether a hit suppresses them.
+        for (int b : kind_banks_) {
+            std::uint8_t& seen = bank_kinds_[static_cast<std::size_t>(b)];
+            if ((seen & kConflict) && !(seen & kHit))
+                concern(dev_.preReadyAt(b), WakeSource::CommandReady);
+            seen = 0;
+        }
+        kind_banks_.clear();
     };
     queue_concern(reads_, false);
     queue_concern(writes_, true);

@@ -137,10 +137,20 @@ class MemoryController
      * Gated candidates (an ACT behind a quiesce, a CAS behind a pump)
      * are excluded by induction: the gate can only open on a machine
      * transition that is itself a wake, after which the horizon is
-     * recomputed with the gate open. CounterUpdateQueues contribute no
-     * concern at all: their drains are evaluated lazily at command
-     * time (dram/counter_update.h), so between commands they cannot
-     * change state — the CuqDrain wake source is honestly zero.
+     * recomputed with the gate open. The same induction excludes a
+     * hit-suppressed PRE — a conflicting request's PRE while its queue
+     * still holds a hit on the open row: pickFrFcfs cannot issue it
+     * until that hit's CAS (a concern, or gated behind a wake) has
+     * left the queue. CounterUpdateQueues contribute no concern at
+     * all: their drains are evaluated lazily at command time
+     * (dram/counter_update.h), so between commands they cannot change
+     * state — the CuqDrain wake source is honestly zero.
+     *
+     * Cost: proportional to the queued requests — each (bank, closed/
+     * hit/conflict) pair is evaluated once per queue — plus a bank scan
+     * only while quiesceDemand() or a per-bank policy RFM is pending.
+     * Both gates are exact (they skip only scans that would find
+     * nothing), so the horizon is the same as a full scan's.
      *
      * @param why (optional) receives the concern that produced the
      *        winning horizon.
@@ -174,6 +184,20 @@ class MemoryController
     void maybeTriggerPolicyRfm();
     void noteActForPolicy(int flat_bank, Cycle now);
     bool servicePerBankRfms(Cycle now);
+    /** Does a per-bank policy RFM for @p target cover @p bank? */
+    bool rfmCovers(int target, int bank) const;
+
+    /**
+     * True when some bank has quiesce demand: a channel-wide or
+     * per-bank recovery quiesce, a pending REF, or a pending per-bank
+     * policy RFM. False exactly when no bank has any, so the per-bank
+     * quiesce scans can skip the whole channel.
+     */
+    bool quiesceDemand() const
+    {
+        return abo_.anyQuiesce() || refresh_.anyPending() ||
+               bank_rfms_pending_ != 0;
+    }
 
     dram::DramDevice& dev_;
     ControllerConfig cfg_;
@@ -191,6 +215,7 @@ class MemoryController
     std::uint64_t acts_since_policy_rfm_ = 0;
     std::vector<std::uint32_t> bank_policy_acts_; ///< per-bank RAA counters
     std::vector<char> bank_rfm_pending_;
+    int bank_rfms_pending_ = 0; ///< count of set bank_rfm_pending_ entries
     std::vector<Cycle> bank_rfm_since_;
     /** Per-rank REF gate handed to the scheduler by pointer; sized once
      * here and refreshed in place so the per-tick constraint build
@@ -203,6 +228,11 @@ class MemoryController
      * policy-RFM vector instead of rebuilding anything. */
     std::vector<char> recovery_act_blocked_;
     std::vector<char> recovery_cas_blocked_;
+    /** nextEventAt scratch: the request kinds (closed/hit/conflict)
+     * seen per bank in the queue being scanned, and the banks touched,
+     * so the marks are cleared in time proportional to the queue. */
+    mutable std::vector<std::uint8_t> bank_kinds_;
+    mutable std::vector<int> kind_banks_;
     std::uint64_t per_bank_policy_rfms_ = 0;
     std::uint64_t next_req_id_ = 0;
     CtrlStats stats_;

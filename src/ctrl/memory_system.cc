@@ -50,6 +50,7 @@ void
 SkipStats::add(const SkipStats& o)
 {
     cycles_skipped += o.cycles_skipped;
+    dense_ticks += o.dense_ticks;
     wakes_command += o.wakes_command;
     wakes_refresh += o.wakes_refresh;
     wakes_recovery += o.wakes_recovery;
@@ -342,6 +343,8 @@ MemorySystem::runShard(int channel, Cycle begin, Cycle end,
         }
         tickShard(s, u);
         s.wake_at = s.controller->nextEventAt(u, &s.wake_why);
+        if (s.wake_at == u + 1)
+            ++s.skip.dense_ticks;
         ++u;
     }
 }

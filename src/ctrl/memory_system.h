@@ -89,13 +89,16 @@ using MitigationFactory =
 
 /**
  * Cycle-skipping efficiency counters. cycles_skipped counts shard
- * cycles never densely ticked; the wakes_* counters attribute each
- * horizon-bounded jump to the concern that ended it (WakeSource).
- * Purely observational — they never feed result documents or hashes.
+ * cycles never densely ticked; dense_ticks counts ticks whose
+ * advertised horizon was now + 1 (back-to-back ticks, nothing skipped
+ * after them); the wakes_* counters attribute each horizon-bounded
+ * jump to the concern that ended it (WakeSource). Purely
+ * observational — they never feed result documents or hashes.
  */
 struct SkipStats
 {
     std::uint64_t cycles_skipped = 0;
+    std::uint64_t dense_ticks = 0;
     std::uint64_t wakes_command = 0;  ///< WakeSource::CommandReady
     std::uint64_t wakes_refresh = 0;  ///< WakeSource::Refresh
     std::uint64_t wakes_recovery = 0; ///< WakeSource::Recovery

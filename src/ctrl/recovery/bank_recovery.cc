@@ -112,6 +112,9 @@ BankRecoveryEngine::rebuildGates()
                     std::min(quiesce_since_[b], m.quiesce_since);
         }
     }
+    quiescing_banks_ = static_cast<int>(
+        std::count_if(quiesce_since_.begin(), quiesce_since_.end(),
+                      [](Cycle c) { return c != kNeverCycle; }));
 }
 
 void

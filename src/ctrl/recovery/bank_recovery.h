@@ -92,6 +92,9 @@ class BankRecoveryEngine
         return quiesce_since_[static_cast<std::size_t>(bank)];
     }
 
+    /** True when some bank's quiesceSince() is set. */
+    bool anyQuiesce() const { return quiescing_banks_ != 0; }
+
     /** Controller issued an ACT to @p bank (window budget accounting). */
     void noteActIssued(int bank);
 
@@ -147,6 +150,7 @@ class BankRecoveryEngine
     std::vector<char> act_blocked_;
     std::vector<char> cas_blocked_;
     std::vector<Cycle> quiesce_since_;
+    int quiescing_banks_ = 0; ///< banks with quiesce_since_ set
     obs::EventSink* sink_ = nullptr;
     int active_ = 0;
     int peak_concurrent_ = 0;

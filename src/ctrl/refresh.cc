@@ -24,6 +24,7 @@ RefreshScheduler::tick(dram::DramDevice& dev, Cycle now)
         if (!st.pending && now >= st.next_due) {
             st.pending = true;
             st.pending_since = now;
+            ++pending_ranks_;
         }
         if (st.pending && dev.rankIdle(r, now)) {
             dev.issueRefresh(r, now);
@@ -35,6 +36,7 @@ RefreshScheduler::tick(dram::DramDevice& dev, Cycle now)
                     obs::kRefresh, now, "ref-issue", "rank", r, "delay",
                     static_cast<std::int64_t>(now - st.pending_since));
             st.pending = false;
+            --pending_ranks_;
             st.next_due += static_cast<Cycle>(t_.tREFI);
         }
     }

@@ -45,6 +45,9 @@ class RefreshScheduler
     /** Cycle the pending REF was first due (kNeverCycle if none). */
     Cycle pendingSince(int rank) const;
 
+    /** True while any rank has a REF pending (refPending() of some rank). */
+    bool anyPending() const { return pending_ranks_ != 0; }
+
     /**
      * Event horizon: earliest future cycle this scheduler can change
      * state without an intervening command. A non-pending rank sleeps
@@ -67,6 +70,7 @@ class RefreshScheduler
 
     const dram::TimingParams& t_;
     std::vector<RankState> ranks_;
+    int pending_ranks_ = 0; ///< ranks with pending set
     obs::EventSink* sink_ = nullptr;
     std::uint64_t refs_issued_ = 0;
 };

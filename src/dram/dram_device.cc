@@ -110,20 +110,6 @@ DramDevice::setAboDelay(int acts)
     abo_delay_acts_ = acts;
 }
 
-Bank&
-DramDevice::bank(int flat_bank)
-{
-    QP_ASSERT(flat_bank >= 0 && flat_bank < numBanks(), "bank out of range");
-    return banks_[static_cast<std::size_t>(flat_bank)];
-}
-
-const Bank&
-DramDevice::bank(int flat_bank) const
-{
-    QP_ASSERT(flat_bank >= 0 && flat_bank < numBanks(), "bank out of range");
-    return banks_[static_cast<std::size_t>(flat_bank)];
-}
-
 int
 DramDevice::bankgroupOf(int flat_bank) const
 {

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/log.h"
 #include "common/types.h"
 #include "dram/address.h"
 #include "dram/bank.h"
@@ -109,8 +110,20 @@ class DramDevice
      */
     void flushMitigationActs() const;
 
-    Bank& bank(int flat_bank);
-    const Bank& bank(int flat_bank) const;
+    Bank&
+    bank(int flat_bank)
+    {
+        QP_ASSERT(flat_bank >= 0 && flat_bank < numBanks(),
+                  "bank out of range");
+        return banks_[static_cast<std::size_t>(flat_bank)];
+    }
+    const Bank&
+    bank(int flat_bank) const
+    {
+        QP_ASSERT(flat_bank >= 0 && flat_bank < numBanks(),
+                  "bank out of range");
+        return banks_[static_cast<std::size_t>(flat_bank)];
+    }
     int numBanks() const { return static_cast<int>(banks_.size()); }
 
     int rankOf(int flat_bank) const { return flat_bank / org_.banksPerRank(); }

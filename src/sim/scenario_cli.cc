@@ -242,7 +242,8 @@ profileReport(const ScenarioResult& res, unsigned sections)
         // instead of printing a zero table that reads like "the
         // skipper never fired".
         const bool skipped_ran =
-            sk.cycles_skipped != 0 || sk.wakes_command != 0 ||
+            sk.cycles_skipped != 0 || sk.dense_ticks != 0 ||
+            sk.wakes_command != 0 ||
             sk.wakes_refresh != 0 || sk.wakes_recovery != 0 ||
             sk.wakes_cuq != 0 || sk.wakes_mailbox != 0 ||
             sk.wakes_epoch != 0;
@@ -264,6 +265,8 @@ profileReport(const ScenarioResult& res, unsigned sections)
                 {"cycles skipped",
                  Table::num(static_cast<double>(sk.cycles_skipped), 0)});
             t.addRow({"skipped %", Table::num(pct, 1)});
+            t.addRow({"dense ticks (horizon now+1)",
+                      Table::num(static_cast<double>(sk.dense_ticks), 0)});
             t.addRow(
                 {"wakes: command-ready",
                  Table::num(static_cast<double>(sk.wakes_command), 0)});
@@ -520,6 +523,7 @@ sweepJson(const ScenarioConfig& base,
         // fields (zeros for attack points and cache hits).
         const ctrl::SkipStats& sk = point.result.sim.skip;
         w.key("cycles_skipped").value(sk.cycles_skipped);
+        w.key("dense_ticks").value(sk.dense_ticks);
         w.key("wake_reasons").beginObject();
         w.key("command_ready").value(sk.wakes_command);
         w.key("refresh").value(sk.wakes_refresh);

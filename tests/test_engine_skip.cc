@@ -1,6 +1,6 @@
 /**
  * @file
- * Cycle-skipping engine suite (PR 9). Two halves:
+ * Cycle-skipping engine suite. Two halves:
  *
  *  - Equivalence properties: skip=on must reproduce skip=off bit for
  *    bit — same resultJson() — across the determinism grid (channel
@@ -17,12 +17,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/qprac.h"
 #include "ctrl/memory_controller.h"
+#include "obs/obs.h"
 #include "sim/scenario.h"
 
 using namespace qprac;
@@ -67,10 +69,10 @@ runWithSkip(ScenarioConfig cfg, const char* skip, int threads = 1)
 // --- Honesty half -----------------------------------------------------
 
 Organization
-smallOrg()
+smallOrg(int ranks = 1)
 {
     Organization org;
-    org.ranks = 1;
+    org.ranks = ranks;
     org.bankgroups = 2;
     org.banks_per_group = 2;
     org.rows_per_bank = 1024;
@@ -79,8 +81,9 @@ smallOrg()
 
 struct Fixture
 {
-    Fixture(const ControllerConfig& cfg, QpracConfig* qc = nullptr)
-        : org(smallOrg()),
+    Fixture(const ControllerConfig& cfg, QpracConfig* qc = nullptr,
+            int ranks = 1)
+        : org(smallOrg(ranks)),
           timing(TimingParams::ddr5Prac()),
           mapper(org),
           dev(org, timing)
@@ -91,21 +94,27 @@ struct Fixture
         mc = std::make_unique<MemoryController>(dev, cfg);
     }
 
+    /** Address of @p row in per-channel flat bank @p bank_flat. */
+    Addr
+    addrOf(int bank_flat, int row) const
+    {
+        const int in_rank = bank_flat % org.banksPerRank();
+        return mapper.makeAddr(0, bank_flat / org.banksPerRank(),
+                               in_rank / org.banks_per_group,
+                               in_rank % org.banks_per_group, row, 0);
+    }
+
     bool
     enqueueRead(int bank_flat, int row, Cycle now)
     {
-        int bg = bank_flat / org.banks_per_group;
-        int bank = bank_flat % org.banks_per_group;
-        Addr a = mapper.makeAddr(0, 0, bg, bank, row, 0);
+        Addr a = addrOf(bank_flat, row);
         return mc->enqueueRead(a, mapper.decode(a), 0, {}, now);
     }
 
     bool
     enqueueWrite(int bank_flat, int row, Cycle now)
     {
-        int bg = bank_flat / org.banks_per_group;
-        int bank = bank_flat % org.banks_per_group;
-        Addr a = mapper.makeAddr(0, 0, bg, bank, row, 0);
+        Addr a = addrOf(bank_flat, row);
         return mc->enqueueWrite(a, mapper.decode(a), 0, now);
     }
 
@@ -143,15 +152,16 @@ struct Fixture
  * shard loop re-computes the horizon after every wake). Reports the
  * number of in-span cycles audited via @p audited_out, so callers can
  * assert the horizons actually had teeth (spans longer than one
- * cycle). Void so gtest ASSERTs can abort it.
+ * cycle). @p from starts the audit mid-run, after the caller has
+ * dense-ticked [0, from) itself. Void so gtest ASSERTs can abort it.
  */
 template <typename EnqueueFn>
 void
 auditHorizons(Fixture& f, Cycle limit, EnqueueFn enqueue_at,
-              std::uint64_t* audited_out = nullptr)
+              std::uint64_t* audited_out = nullptr, Cycle from = 0)
 {
     std::uint64_t audited = 0;
-    Cycle t = 0;
+    Cycle t = from;
     while (t < limit) {
         enqueue_at(t);
         f.mc->tick(t);
@@ -170,6 +180,35 @@ auditHorizons(Fixture& f, Cycle limit, EnqueueFn enqueue_at,
     }
     if (audited_out)
         *audited_out = audited;
+}
+
+/** Banks that received a PRE among the kCmd events @p sink kept. */
+std::set<int>
+prechargedBanks(const obs::EventSink& sink)
+{
+    EXPECT_EQ(sink.dropped(), 0u) << "event ring too small for the test";
+    std::set<int> banks;
+    for (const auto& [seq, e] : sink.drain())
+        if (std::string(e.name) == "PRE")
+            banks.insert(static_cast<int>(e.v0));
+    return banks;
+}
+
+/**
+ * Audit [from, to) with @p enqueue run once, at @p from (a segment
+ * boundary is where the skipping loop would re-read its inputs).
+ */
+template <typename Fn>
+void
+auditSegment(Fixture& f, Cycle from, Cycle to, Fn enqueue)
+{
+    auditHorizons(
+        f, to,
+        [&](Cycle t) {
+            if (t == from)
+                enqueue();
+        },
+        nullptr, from);
 }
 
 } // namespace
@@ -278,13 +317,16 @@ TEST(EngineSkip, SkipActuallySkipsAndCountsWakes)
               0u);
     // Counter-update drains are command-lazy: never a wake source.
     EXPECT_EQ(sk.wakes_cuq, 0u);
-    // Off = dense: all counters stay zero.
+    // Off = dense: all counters stay zero (no horizon is ever asked
+    // for, so no tick counts as a back-to-back one either).
     ASSERT_TRUE(cfg.set("skip", "off", &err)) << err;
     ScenarioResult off = sim::runScenario(cfg, 1);
     EXPECT_EQ(off.sim.skip.cycles_skipped, 0u);
+    EXPECT_EQ(off.sim.skip.dense_ticks, 0u);
     EXPECT_EQ(off.sim.skip.wakes_command, 0u);
     // And the stats never leak into the result document.
     EXPECT_EQ(on.resultJson().find("cycles_skipped"), std::string::npos);
+    EXPECT_EQ(on.resultJson().find("dense_ticks"), std::string::npos);
     EXPECT_EQ(on.resultJson(), off.resultJson());
 }
 
@@ -406,4 +448,169 @@ TEST(EngineSkipHorizon, HonestUnderPerBankRfmPacing)
         return;
     EXPECT_TRUE(f.mc->drained());
     EXPECT_GE(f.mc->stats().policy_rfms, 2u);
+}
+
+TEST(EngineSkipHorizon, HitSuppressedPreDoesNotForceDenseTicks)
+{
+    ControllerConfig cfg;
+    cfg.abo.enabled = false;
+    Fixture f(cfg);
+    // Banks 0 and 1 share a bank group, so their CASes serialize at
+    // tCCD_L. Open a row on each and let both age past tRAS: bank 0's
+    // conflict PRE is then ready long before its hits can issue.
+    ASSERT_TRUE(f.enqueueRead(0, 100, 0));
+    ASSERT_TRUE(f.enqueueRead(1, 200, 0));
+    const Cycle t0 = static_cast<Cycle>(f.timing.tRCD + f.timing.tRAS +
+                                        f.timing.tCL + f.timing.tBL) +
+                     50;
+    for (Cycle t = 0; t < t0; ++t)
+        f.mc->tick(t);
+    ASSERT_EQ(f.dev.bank(0).openRow(), 100);
+    ASSERT_EQ(f.dev.bank(1).openRow(), 200);
+    const auto pres_before = f.dev.stats().pres;
+    // Six older hits on bank 1 stream first; behind them wait three
+    // hits on bank 0 and one conflict on bank 0. While the bank-0 hits
+    // wait on CAS timing, pickFrFcfs cannot issue the conflict PRE, so
+    // the horizon must follow the CAS stream, not the ready PRE.
+    const int stream = 6;
+    auto enqueue = [&](Cycle t) {
+        if (t != t0)
+            return;
+        for (int i = 0; i < stream; ++i)
+            ASSERT_TRUE(f.enqueueRead(1, 200, t));
+        for (int i = 0; i < 3; ++i)
+            ASSERT_TRUE(f.enqueueRead(0, 100, t));
+        ASSERT_TRUE(f.enqueueRead(0, 300, t));
+    };
+    const Cycle phase_end =
+        t0 + static_cast<Cycle>(stream - 1) *
+                 static_cast<Cycle>(f.timing.tCCD_L);
+    std::uint64_t audited = 0;
+    auditHorizons(f, phase_end, enqueue, &audited, t0);
+    if (HasFatalFailure())
+        return;
+    // Still inside the bank-1 stream: bank 0 untouched, hits queued.
+    EXPECT_EQ(f.dev.stats().pres, pres_before);
+    EXPECT_EQ(f.dev.bank(0).openRow(), 100);
+    EXPECT_LE(f.mc->stats().reads_done, 2u + stream);
+    EXPECT_GT(audited, 0u) << "hit-suppressed PRE forced dense ticks";
+    // Audit the rest of the drain too: hits first, then the PRE.
+    auditHorizons(f, phase_end + 1'000, enqueue, nullptr, phase_end);
+    if (HasFatalFailure())
+        return;
+    EXPECT_TRUE(f.mc->drained());
+    EXPECT_EQ(f.dev.stats().pres, pres_before + 1);
+    EXPECT_EQ(f.mc->stats().reads_done, 2u + stream + 4);
+}
+
+TEST(EngineSkipHorizon, EachDemandSourcePrechargesOnlyItsBanks)
+{
+    // One quiesce-demand source live at a time, with open rows and
+    // queued hits on banks it does not cover: the demand gates and the
+    // per-bank scans must precharge exactly the demanded banks, and
+    // the horizons must stay honest throughout.
+    const Cycle trefi = static_cast<Cycle>(TimingParams::ddr5Prac().tREFI);
+    const Cycle trfc = static_cast<Cycle>(TimingParams::ddr5Prac().tRFC);
+
+    {
+        SCOPED_TRACE("REF pending on rank 1");
+        ControllerConfig cfg;
+        cfg.abo.enabled = false;
+        Fixture f(cfg, nullptr, 2);
+        const int per_rank = f.org.banksPerRank();
+        obs::EventSink sink(obs::kCmd, 1 << 14);
+        f.dev.setEventSink(&sink);
+        // Rank 0 refreshes at tREFI/2 with every bank closed; rank 1
+        // is due at tREFI. Open a row on every bank in between, then
+        // queue hits on rank 0 just before rank 1's REF falls due.
+        const Cycle open_at = trefi / 2 + trfc + 100;
+        const Cycle hits_at = trefi - 20;
+        const Cycle end = trefi + trfc + 500;
+        auditSegment(f, 0, open_at, [] {});
+        auditSegment(f, open_at, hits_at, [&] {
+            for (int b = 0; b < 2 * per_rank; ++b)
+                ASSERT_TRUE(f.enqueueRead(b, 100 + b, open_at));
+        });
+        auditSegment(f, hits_at, end, [&] {
+            for (int i = 0; i < 4; ++i)
+                for (int b = 0; b < per_rank; ++b)
+                    ASSERT_TRUE(f.enqueueRead(b, 100 + b, hits_at));
+        });
+        if (HasFatalFailure())
+            return;
+        EXPECT_EQ(f.mc->stats().refs, 2u);
+        std::set<int> rank1;
+        for (int b = per_rank; b < 2 * per_rank; ++b)
+            rank1.insert(b);
+        EXPECT_EQ(prechargedBanks(sink), rank1);
+        for (int b = 0; b < per_rank; ++b)
+            EXPECT_EQ(f.dev.bank(b).openRow(), 100 + b) << "bank " << b;
+        EXPECT_TRUE(f.mc->drained());
+    }
+
+    // Bank 0 is hammered with row conflicts; banks 1..3 hold open rows
+    // and keep receiving hits. The conflicts precharge bank 0 too, so
+    // the check is that no other bank ever sees a PRE, and that the
+    // demanded RFMs issued (each needs bank 0 closed first). A new
+    // pair of reads arrives at each span start that finds the read
+    // queue empty; the reads carry completions, so the last one's data
+    // return is such a span start and the hammer keeps going.
+    auto hammerBank0 = [&](Fixture& f, obs::EventSink& sink) {
+        f.dev.setEventSink(&sink);
+        auto read = [&](int bank, int row, Cycle t) {
+            const Addr a = f.addrOf(bank, row);
+            return f.mc->enqueueRead(a, f.mapper.decode(a), 0,
+                                     [](Cycle) {}, t);
+        };
+        // 12 pairs finish well inside tREFI, so no REF (a demand
+        // source of its own) joins in.
+        const int pairs = 12;
+        int issued = 0;
+        auditHorizons(f, trefi - 100, [&](Cycle t) {
+            if (issued == pairs || f.mc->readQueueDepth() != 0)
+                return;
+            ASSERT_TRUE(read(0, (issued % 2) ? 10 : 20, t));
+            ASSERT_TRUE(read(1 + issued % 3, 101 + issued % 3, t));
+            ++issued;
+        });
+        EXPECT_EQ(issued, pairs);
+        EXPECT_EQ(f.mc->stats().refs, 0u);
+    };
+
+    {
+        SCOPED_TRACE("one bank-isolated recovery machine");
+        ControllerConfig cfg;
+        cfg.abo.enabled = true;
+        cfg.abo.recovery = ctrl::RecoveryKind::BankIsolated;
+        QpracConfig qc = QpracConfig::base(4, 1);
+        Fixture f(cfg, &qc);
+        obs::EventSink sink(obs::kCmd, 1 << 14);
+        hammerBank0(f, sink);
+        if (HasFatalFailure())
+            return;
+        EXPECT_GE(f.mc->stats().alerts, 1u);
+        EXPECT_EQ(f.mc->stats().rfms, f.mc->stats().alerts);
+        EXPECT_TRUE(f.mc->abo().idle());
+        EXPECT_EQ(prechargedBanks(sink), std::set<int>{0});
+        EXPECT_TRUE(f.mc->drained());
+    }
+
+    {
+        SCOPED_TRACE("one pending per-bank policy RFM");
+        ControllerConfig cfg;
+        cfg.abo.enabled = false;
+        cfg.rfm_policy.acts_per_rfm = 3;
+        cfg.rfm_policy.scope = dram::RfmScope::PerBank;
+        cfg.rfm_policy.per_bank = true;
+        Fixture f(cfg);
+        obs::EventSink sink(obs::kCmd, 1 << 14);
+        hammerBank0(f, sink);
+        if (HasFatalFailure())
+            return;
+        // Every third ACT to bank 0 trips its RFM, the last one with
+        // no conflict left to close the row: only the quiesce PRE can.
+        EXPECT_EQ(f.mc->stats().policy_rfms, 4u);
+        EXPECT_EQ(prechargedBanks(sink), std::set<int>{0});
+        EXPECT_TRUE(f.mc->drained());
+    }
 }

@@ -459,8 +459,9 @@ TEST(ObsCli, ProfileEngineSaysDisabledWhenSkipIsOff)
     EXPECT_EQ(out.find("cycles skipped"), std::string::npos);
 
     const std::string on =
-        runCli(withFlags({"--set", "skip=on", "--profile=engine"}));
+        runCli(withFlags({"--set", "skip=on", "--profile=engine-skip"}));
     EXPECT_NE(on.find("cycles skipped"), std::string::npos);
+    EXPECT_NE(on.find("dense ticks"), std::string::npos);
 }
 
 TEST(ObsCli, MetricsFlagPrintsReportAndDefaultsInterval)
