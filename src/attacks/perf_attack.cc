@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "core/qprac.h"
-#include "ctrl/memory_controller.h"
-#include "dram/dram_device.h"
 
 namespace qprac::attacks {
 
@@ -24,12 +22,12 @@ class AttackTrafficGen
                          0);
     }
 
-    /** Keep the controller's read queue full. */
-    void pump(ctrl::MemoryController& mc, Cycle now)
+    /** Keep channel 0's read queue full. */
+    void pump(ctrl::MemorySystem& mem, Cycle now)
     {
         const auto& org = mapper_.organization();
         const int banks = org.banksPerChannel();
-        while (!mc.readQueueFull()) {
+        while (!mem.readQueueFull(0)) {
             int flat = bank_cursor_;
             bank_cursor_ = (bank_cursor_ + 1) % banks;
             int rank = flat / org.banksPerRank();
@@ -41,7 +39,7 @@ class AttackTrafficGen
             int row = 8 + cursor * 8;
             cursor = (cursor + 1) % carousel_;
             Addr addr = mapper_.makeAddr(0, rank, bg, bank, row, 0);
-            if (!mc.enqueueRead(addr, mapper_.decode(addr), 0, {}, now))
+            if (!mem.enqueueRead(addr, mapper_.decode(addr), 0, {}, now))
                 break;
         }
     }
@@ -62,33 +60,34 @@ runPerfAttack(const PerfAttackConfig& cfg)
     dram::TimingParams timing = dram::TimingParams::ddr5Prac();
     dram::AddressMapper mapper(org);
 
-    dram::DramDevice dev(org, timing);
-    std::unique_ptr<dram::RowhammerMitigation> mit;
+    ctrl::MitigationFactory mitigation;
     if (cfg.mitigation_enabled) {
         core::QpracConfig qc =
             cfg.proactive ? core::QpracConfig::proactiveEvery(cfg.nbo,
                                                               cfg.nmit)
                           : core::QpracConfig::base(cfg.nbo, cfg.nmit);
-        mit = std::make_unique<core::Qprac>(qc, &dev.pracCounters());
+        mitigation = [qc](dram::PracCounters* counters) {
+            return std::make_unique<core::Qprac>(qc, counters);
+        };
     }
-    dev.setMitigation(mit.get());
 
     ctrl::ControllerConfig ctrl_cfg;
     ctrl_cfg.abo.enabled = cfg.mitigation_enabled;
     ctrl_cfg.abo.nmit = cfg.nmit;
     ctrl_cfg.abo.scope = cfg.scope;
-    ctrl::MemoryController mc(dev, ctrl_cfg);
+    ctrl::MemorySystem mem(org, timing, ctrl_cfg, mitigation);
 
     AttackTrafficGen gen(mapper, cfg.carousel_rows);
-    for (Cycle c = 0; c < cfg.sim_cycles; ++c) {
-        gen.pump(mc, c);
-        mc.tick(c);
+    for (Cycle now = 0; now < cfg.sim_cycles;) {
+        gen.pump(mem, now);
+        now = mem.step(now, cfg.sim_cycles);
     }
 
     PerfAttackResult r;
-    r.acts = dev.stats().acts;
-    r.alerts = mc.abo().alerts();
+    r.acts = mem.deviceStats().acts;
+    r.alerts = mem.alerts();
     r.cycles = cfg.sim_cycles;
+    r.skip = mem.skipStats();
     return r;
 }
 

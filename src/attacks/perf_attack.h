@@ -7,11 +7,14 @@
  * driving banks to the Back-Off threshold as fast as possible so every
  * alert costs the channel an ABO window plus RFM time. The metric is
  * the loss of activation bandwidth versus an unprotected baseline.
+ * The driver steps a one-channel ctrl::MemorySystem (MemorySystem::step),
+ * acting whenever a controller event could have freed queue space.
  */
 #ifndef QPRAC_ATTACKS_PERF_ATTACK_H
 #define QPRAC_ATTACKS_PERF_ATTACK_H
 
 #include "common/types.h"
+#include "ctrl/memory_system.h"
 #include "dram/mitigation_iface.h"
 
 namespace qprac::attacks {
@@ -34,6 +37,7 @@ struct PerfAttackResult
     std::uint64_t acts = 0;
     std::uint64_t alerts = 0;
     Cycle cycles = 0;
+    ctrl::SkipStats skip; ///< engine counters (not part of the result)
 
     double actsPerKiloCycle() const
     {

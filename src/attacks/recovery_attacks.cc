@@ -23,6 +23,13 @@ struct ProbeTarget
     int next_row = 0;
 };
 
+/** First cycle after @p now whose phase in @p period is @p offset. */
+Cycle
+nextPhase(Cycle now, Cycle period, Cycle offset)
+{
+    return now + 1 + (offset + period - (now + 1) % period) % period;
+}
+
 /** Common driver state for both recovery attacks. */
 class RecoveryDriver
 {
@@ -58,9 +65,9 @@ class RecoveryDriver
         // so a dropped probe is simply skipped, never retried.
         //
         // Probe events land on the recorder's driver lane, stamped at
-        // issue with the measured latency — this driver runs the
-        // serial tick path, so completion order is the delivery order
-        // and the lane stays single-writer.
+        // issue with the measured latency — completions fire from
+        // MemorySystem::step on this thread in delivery order, so the
+        // lane stays single-writer.
         obs::EventSink* sink = driver_sink_;
         const int channel = t.channel;
         mem_.enqueueRead(mapper_.encode(dec), dec, /*source=*/1,
@@ -102,7 +109,7 @@ class RecoveryDriver
                                           --ab.outstanding;
                                       },
                                       now))
-                    return; // channel 0's queue is full; retry next cycle
+                    return; // channel 0's queue is full; retry once it frees
                 ++ab.next_row;
                 ++ab.outstanding;
                 ++attacker_acts_;
@@ -115,12 +122,9 @@ class RecoveryDriver
     /** Let in-flight probes complete after the measured phases. */
     void drain(Cycle from)
     {
-        Cycle now = from;
         const Cycle limit = from + 200'000;
-        while (!mem_.drained() && now < limit) {
-            mem_.tick(now);
-            ++now;
-        }
+        for (Cycle now = from; !mem_.drained() && now < limit;)
+            now = mem_.step(now, limit);
     }
 
   private:
@@ -168,25 +172,31 @@ runRfmProbeAttack(const RecoveryAttackConfig& cfg)
     }
 
     const Cycle total = cfg.warmup_cycles + cfg.attack_cycles;
+    const Cycle period = static_cast<Cycle>(cfg.probe_period);
     const Cycle half =
         static_cast<Cycle>(std::max(1, cfg.probe_period / 2));
-    for (Cycle now = 0; now < total; ++now) {
+    for (Cycle now = 0; now < total;) {
         const bool attacked = now >= cfg.warmup_cycles;
-        if (now % static_cast<Cycle>(cfg.probe_period) == 0)
+        if (now % period == 0)
             drv.probe(near, attacked ? &r.near_attack : &r.near_quiet,
                       now);
-        if (now % static_cast<Cycle>(cfg.probe_period) == half)
+        if (now % period == half)
             drv.probe(far, attacked ? &r.far_attack : &r.far_quiet,
                       now);
         if (attacked)
             drv.attackerIssue(now);
-        drv.memory().tick(now);
+        Cycle until = std::min({total, nextPhase(now, period, 0),
+                                nextPhase(now, period, half)});
+        if (!attacked)
+            until = std::min(until, cfg.warmup_cycles);
+        now = drv.memory().step(now, until);
     }
     drv.drain(total);
 
     r.alerts = drv.memory().alerts();
     r.rfms = drv.memory().ctrlStats().rfms;
     r.attacker_acts = drv.attackerActs();
+    r.skip = drv.memory().skipStats();
     return r;
 }
 
@@ -206,21 +216,26 @@ runRecoveryDosAttack(const RecoveryAttackConfig& cfg)
     victim.bank = cfg.org.banks_per_group - 1;
 
     const Cycle total = cfg.warmup_cycles + cfg.attack_cycles;
-    for (Cycle now = 0; now < total; ++now) {
+    const Cycle period = static_cast<Cycle>(cfg.probe_period);
+    for (Cycle now = 0; now < total;) {
         const bool attacked = now >= cfg.warmup_cycles;
-        if (now % static_cast<Cycle>(cfg.probe_period) == 0)
+        if (now % period == 0)
             drv.probe(victim,
                       attacked ? &r.victim_attack : &r.victim_quiet,
                       now);
         if (attacked)
             drv.attackerIssue(now);
-        drv.memory().tick(now);
+        Cycle until = std::min(total, nextPhase(now, period, 0));
+        if (!attacked)
+            until = std::min(until, cfg.warmup_cycles);
+        now = drv.memory().step(now, until);
     }
     drv.drain(total);
 
     r.alerts = drv.memory().alerts();
     r.rfms = drv.memory().ctrlStats().rfms;
     r.attacker_acts = drv.attackerActs();
+    r.skip = drv.memory().skipStats();
     if (const ctrl::BankRecoveryEngine* engine =
             drv.memory().controller(0).abo().bankRecovery())
         r.peak_concurrent_recoveries = engine->peakConcurrent();

@@ -6,9 +6,11 @@
  * (arXiv:2507.18581) worst-case alert storm.
  *
  * Both drivers run a real N-channel ctrl::MemorySystem (controllers,
- * devices, per-channel mitigation instances) on the serial tick path —
- * no cores, no LLC, no RNG — so results are deterministic and
- * independent of any thread budget.
+ * devices, per-channel mitigation instances) through
+ * MemorySystem::step — the same skipping shard loop every run uses,
+ * entered only at the cycles the driver acts (probe due, a completion,
+ * a controller event). No cores, no LLC, no RNG, so results are
+ * deterministic and independent of any thread budget.
  *
  *  - rfm-probe: the attacker hammers one bank of channel 0 into
  *    repeated recoveries while a victim paces latency probes at a
@@ -87,6 +89,7 @@ struct RfmProbeResult
     std::uint64_t attacker_acts = 0;
     ProbeStats near_quiet, near_attack; ///< co-located victim bank
     ProbeStats far_quiet, far_attack;   ///< isolated victim bank
+    ctrl::SkipStats skip; ///< engine counters (not part of the result)
 
     /** Attacker-induced latency on the co-located bank (cycles). */
     double nearExcess() const
@@ -112,6 +115,7 @@ struct RecoveryDosResult
     std::uint64_t attacker_acts = 0;
     int peak_concurrent_recoveries = 0; ///< overlap (0 = channel-stall)
     ProbeStats victim_quiet, victim_attack;
+    ctrl::SkipStats skip; ///< engine counters (not part of the result)
 
     /** Victim latency inflation under the alert storm (ratio). */
     double victimSlowdown() const

@@ -302,11 +302,6 @@ MemorySystem::runShard(int channel, Cycle begin, Cycle end,
 {
     Shard& s = shard(channel);
     s.epoch_end = emit_guard;
-    if (!skip_) {
-        for (Cycle u = begin; u < end; ++u)
-            tickShard(s, u);
-        return;
-    }
     // Next-event loop: after each tick the controller advertises the
     // earliest cycle it could act again (nextEventAt, a conservative
     // bound), and the loop jumps straight there. Two clamps keep the
@@ -318,6 +313,8 @@ MemorySystem::runShard(int channel, Cycle begin, Cycle end,
     // window). Everything else the controller can do is, by the
     // horizon contract, not before wake_at — so the skipped cycles are
     // exactly the ticks dense execution would have spent doing nothing.
+    // With skipping off the horizon is simply u + 1: the same loop
+    // ticks every cycle and never jumps.
     for (Cycle u = begin; u < end;) {
         Cycle wake = s.wake_at;
         WakeSource why = s.wake_why;
@@ -342,9 +339,13 @@ MemorySystem::runShard(int channel, Cycle begin, Cycle end,
             s.skip.note(why);
         }
         tickShard(s, u);
-        s.wake_at = s.controller->nextEventAt(u, &s.wake_why);
-        if (s.wake_at == u + 1)
-            ++s.skip.dense_ticks;
+        if (!skip_) {
+            s.wake_at = u + 1;
+        } else {
+            s.wake_at = s.controller->nextEventAt(u, &s.wake_why);
+            if (s.wake_at == u + 1)
+                ++s.skip.dense_ticks;
+        }
         ++u;
     }
 }
@@ -371,20 +372,24 @@ MemorySystem::runEpoch(Cycle begin, Cycle end, WorkerPool* pool,
             task(i);
 }
 
-void
-MemorySystem::tick(Cycle now)
+Cycle
+MemorySystem::step(Cycle now, Cycle limit)
 {
-    // Serial compatibility path (direct drivers and tests): each tick
-    // is a one-cycle epoch with completions delivered inline. Producer
-    // and consumer are the same thread here, so syncing every cycle
-    // makes the staged submit view identical to the live one.
-    syncSubmitMailboxes();
-    deliverCompletions(now);
+    QP_ASSERT(limit > now, "empty step");
+    // Completions fire at their outbox stamps; queue space frees only
+    // at a controller event, which the horizon bounds (0 right after a
+    // direct enqueue); the epoch bound keeps every completion emitted
+    // inside the window at or after `next`.
+    Cycle next = std::min(limit, now + epoch_);
     for (auto& s : shards_) {
-        s.epoch_end = now + 1;
-        s.wake_at = 0; // caller owns the loop: no horizon to trust
-        tickShard(s, now);
+        if (const CompletionMsg* m = s.complete_out->peek())
+            next = std::min(next, m->at + 1);
+        if (s.wake_at < next)
+            next = std::max(s.wake_at, now) + 1;
     }
+    runEpoch(now, next, nullptr);
+    deliverCompletions(next - 1);
+    return next;
 }
 
 void

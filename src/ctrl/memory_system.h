@@ -38,6 +38,12 @@
  * thread count only changes which OS thread runs a shard's loop, never
  * the sequence of operations — so threads=N runs are bit-identical to
  * threads=1, and both reproduce the pre-engine serial goldens.
+ *
+ * Every run steps through that one shard loop. The System engines
+ * call runEpoch directly; drivers with no LLC (the attack drivers,
+ * unit-test fixtures) enqueue directly and advance with step(), which
+ * picks the next cycle the driver could observe a change and runs the
+ * shards up to it.
  */
 #ifndef QPRAC_CTRL_MEMORY_SYSTEM_H
 #define QPRAC_CTRL_MEMORY_SYSTEM_H
@@ -139,8 +145,17 @@ class MemorySystem
     bool readQueueFull(int channel) const;
     bool writeQueueFull(int channel) const;
 
-    /** Advance every channel one DRAM command-clock cycle. */
-    void tick(Cycle now);
+    /**
+     * Driver step. A direct driver acts (enqueueRead/enqueueWrite) at
+     * the start of cycle @p now; step runs the shards up to `next`, the
+     * minimum of @p limit, now + epochLength(), each shard's next
+     * completion stamp + 1 and max(horizon, now) + 1, fires the
+     * completions due before it, and returns it. Nothing a driver can
+     * see changes in between, so acting only at returned cycles is
+     * exactly per-cycle driving. Mailbox (submit*) drivers that poll
+     * every cycle pass limit = now + 1.
+     */
+    Cycle step(Cycle now, Cycle limit);
 
     /** True when no shard has requests queued, mailboxed or in flight. */
     bool drained() const;
@@ -207,7 +222,7 @@ class MemorySystem
      * Refresh every shard's submit-mailbox staged producer view
      * (common/spsc.h). The pipelined engine calls this at each window
      * barrier (shard consumers quiescent) from the submitting thread;
-     * the serial tick() path syncs itself every cycle.
+     * runEpoch (and so step) syncs on entry.
      */
     void syncSubmitMailboxes();
 
@@ -236,8 +251,9 @@ class MemorySystem
      * window end. The observable command sequence is bit-identical to
      * dense ticking — the horizon is a conservative bound and every
      * external input lands on a wake — so results, goldens and
-     * scenario hashes are unaffected. The serial tick() path is dense
-     * regardless (its caller owns the cycle loop). No cycle-
+     * scenario hashes are unaffected. With skipping off the horizon
+     * is simply now + 1, so the same loop ticks every cycle. On by
+     * default; System sets it from the `skip` scenario key. No cycle-
      * proportional per-tick state exists in the controller or device
      * (stats count commands, ages derive from arrival stamps), so
      * skipping needs no bulk catch-up.
@@ -288,8 +304,8 @@ class MemorySystem
         Cycle epoch_end = 0; ///< first cycle after the current epoch
         /** Persisted event horizon (cycle skipping): no controller
          * event before this cycle absent external input. 0 = unknown,
-         * tick densely. Survives window boundaries; invalidated by
-         * direct enqueues (the serial paths bypass the mailboxes). */
+         * tick at once. Survives window boundaries; invalidated by
+         * direct enqueues, which bypass the mailboxes. */
         Cycle wake_at = 0;
         WakeSource wake_why = WakeSource::CommandReady;
         SkipStats skip; ///< this shard's skip counters
@@ -316,7 +332,7 @@ class MemorySystem
 
     dram::Organization org_;
     Cycle epoch_ = 1;
-    bool skip_ = false;
+    bool skip_ = true;
     std::vector<Shard> shards_;
 };
 

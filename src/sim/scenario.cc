@@ -740,7 +740,7 @@ runWaveScenario(const ScenarioConfig& cfg, obs::EventRecorder*)
     return s;
 }
 
-StatSet
+ScenarioRegistry::AttackOutput
 runPerfScenario(const ScenarioConfig& cfg, obs::EventRecorder*)
 {
     attacks::PerfAttackConfig a;
@@ -758,7 +758,7 @@ runPerfScenario(const ScenarioConfig& cfg, obs::EventRecorder*)
     s.set("attack.acts_per_kcycle", r.actsPerKiloCycle());
     if (cfg.baseline)
         s.set("attack.bandwidth_loss_pct", attacks::bandwidthLossPct(a));
-    return s;
+    return {s, r.skip};
 }
 
 StatSet
@@ -815,7 +815,7 @@ probeStatsTo(StatSet& s, const std::string& prefix,
           static_cast<double>(quiet.probes + attacked.probes));
 }
 
-StatSet
+ScenarioRegistry::AttackOutput
 runRfmProbeScenario(const ScenarioConfig& cfg,
                     obs::EventRecorder* recorder)
 {
@@ -832,10 +832,10 @@ runRfmProbeScenario(const ScenarioConfig& cfg,
     s.set("attack.near_excess", r.nearExcess());
     s.set("attack.far_excess", r.farExcess());
     s.set("attack.leakage_signal", r.leakageSignal());
-    return s;
+    return {s, r.skip};
 }
 
-StatSet
+ScenarioRegistry::AttackOutput
 runRecoveryDosScenario(const ScenarioConfig& cfg,
                        obs::EventRecorder* recorder)
 {
@@ -851,7 +851,7 @@ runRecoveryDosScenario(const ScenarioConfig& cfg,
           static_cast<double>(r.peak_concurrent_recoveries));
     probeStatsTo(s, "attack.victim", r.victim_quiet, r.victim_attack);
     s.set("attack.victim_slowdown", r.victimSlowdown());
-    return s;
+    return {s, r.skip};
 }
 
 void
@@ -1039,7 +1039,15 @@ ScenarioRegistry::run(const ScenarioConfig& cfg, int thread_budget) const
         if (it == attacks_.end())
             fatal(strCat("unknown attack scenario '", cfg.source, "'"));
         res.is_attack = true;
-        res.stats = it->second.run(cfg, recorder.get());
+        // Wall time and skip counters ride in res.sim like a system
+        // run's: outside resultJson() and the hash. sim.cycles stays 0.
+        const auto start = std::chrono::steady_clock::now();
+        AttackOutput out = it->second.run(cfg, recorder.get());
+        res.sim.wall_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+        res.stats = std::move(out.stats);
+        res.sim.skip = out.skip;
         finishObs();
         return res;
     }

@@ -272,12 +272,28 @@ class ScenarioRegistry
 {
   public:
     /**
+     * What a family runner returns: its attack.* counters and, for
+     * drivers that step a MemorySystem, that system's skip counters
+     * (zeros for event-level families). Runners returning a bare
+     * StatSet convert implicitly.
+     */
+    struct AttackOutput
+    {
+        AttackOutput(StatSet s = {}, const ctrl::SkipStats& k = {})
+            : stats(std::move(s)), skip(k)
+        {
+        }
+        StatSet stats;
+        ctrl::SkipStats skip; ///< engine-only, like SimResult::skip
+    };
+
+    /**
      * Family runner. @p recorder is the run's observability hub (null
      * when tracing and metrics are both off); event-level families
      * with no MemorySystem ignore it.
      */
-    using AttackRunner = std::function<StatSet(const ScenarioConfig&,
-                                               obs::EventRecorder*)>;
+    using AttackRunner = std::function<AttackOutput(const ScenarioConfig&,
+                                                    obs::EventRecorder*)>;
 
     /** Registration metadata for one attack family. */
     struct AttackOptions

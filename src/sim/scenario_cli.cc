@@ -238,8 +238,8 @@ profileReport(const ScenarioResult& res, unsigned sections)
         out += "--- profile: engine (cycle skipping) ---\n";
         // A run with skipping enabled always records wakes (every
         // window ends in an EpochBoundary wake); all-zero counters
-        // mean skipping was off or nothing ran here at all. Say so
-        // instead of printing a zero table that reads like "the
+        // mean skipping was off or no MemorySystem ran here at all.
+        // Say so instead of printing a zero table that reads like "the
         // skipper never fired".
         const bool skipped_ran =
             sk.cycles_skipped != 0 || sk.dense_ticks != 0 ||
@@ -249,22 +249,22 @@ profileReport(const ScenarioResult& res, unsigned sections)
             sk.wakes_epoch != 0;
         if (!skipped_ran) {
             out += "cycle skipping disabled for this run (skip=off, a\n"
-                   "cache hit, or an attack point) -- no skip counters.\n";
+                   "cache hit, or an event-level attack family) -- no\n"
+                   "skip counters.\n";
         } else {
-            const double cycles = static_cast<double>(res.sim.cycles);
+            // Attack points report no sim.cycles, so the rows derived
+            // from it are omitted for them.
             const double shard_cycles =
-                cycles * static_cast<double>(res.config.channels);
-            const double pct =
-                shard_cycles > 0
-                    ? 100.0 * static_cast<double>(sk.cycles_skipped) /
-                          shard_cycles
-                    : 0.0;
+                static_cast<double>(res.sim.cycles) *
+                static_cast<double>(res.config.channels);
+            const double skipped = static_cast<double>(sk.cycles_skipped);
             Table t({"counter", "value"});
-            t.addRow({"shard cycles", Table::num(shard_cycles, 0)});
-            t.addRow(
-                {"cycles skipped",
-                 Table::num(static_cast<double>(sk.cycles_skipped), 0)});
-            t.addRow({"skipped %", Table::num(pct, 1)});
+            if (shard_cycles > 0)
+                t.addRow({"shard cycles", Table::num(shard_cycles, 0)});
+            t.addRow({"cycles skipped", Table::num(skipped, 0)});
+            if (shard_cycles > 0)
+                t.addRow({"skipped %",
+                          Table::num(100.0 * skipped / shard_cycles, 1)});
             t.addRow({"dense ticks (horizon now+1)",
                       Table::num(static_cast<double>(sk.dense_ticks), 0)});
             t.addRow(
@@ -331,14 +331,17 @@ profileReport(const ScenarioResult& res, unsigned sections)
                 static_cast<double>(res.config.channels);
             Table t({"counter", "value"});
             t.addRow({"wall ms", Table::num(res.sim.wall_ms, 1)});
-            t.addRow({"simulated cycles",
-                      Table::num(static_cast<double>(res.sim.cycles), 0)});
-            t.addRow({"sim cycles/sec",
-                      Table::num(res.sim.simCyclesPerSec(), 0)});
-            if (shard_cycles > 0)
+            // Attack points report wall time only (no sim.cycles).
+            if (shard_cycles > 0) {
+                t.addRow({"simulated cycles",
+                          Table::num(static_cast<double>(res.sim.cycles),
+                                     0)});
+                t.addRow({"sim cycles/sec",
+                          Table::num(res.sim.simCyclesPerSec(), 0)});
                 t.addRow({"host ns / shard cycle",
                           Table::num(res.sim.wall_ms * 1e6 / shard_cycles,
                                      1)});
+            }
             out += t.toString();
         }
     }
@@ -520,7 +523,7 @@ sweepJson(const ScenarioConfig& base,
         w.key("wall_ms").value(point.wall_ms);
         w.key("sim_cycles_per_sec").value(point.sim_cycles_per_sec);
         // Skip-efficiency observability, same contract as the timing
-        // fields (zeros for attack points and cache hits).
+        // fields (zeros for cache hits and event-level attack families).
         const ctrl::SkipStats& sk = point.result.sim.skip;
         w.key("cycles_skipped").value(sk.cycles_skipped);
         w.key("dense_ticks").value(sk.dense_ticks);

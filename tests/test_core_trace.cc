@@ -214,8 +214,9 @@ struct Machine
     {
         // Drive the MemorySystem (not the bare controller): it owns the
         // submit/completion mailboxes the LLC now talks through.
+        // The LLC and core act every cycle, so each step covers one.
         for (Cycle c = 0; c < cycles && !core.done(); ++c) {
-            msys.tick(now);
+            msys.step(now, now + 1);
             llc.tick(now);
             core.tick(now);
             ++now;

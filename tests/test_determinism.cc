@@ -192,9 +192,9 @@ TEST(Determinism, IsolatedRecoveryDeterministicAcrossThreadsAndChannels)
 
 TEST(Determinism, RecoveryAttacksUnaffectedByThreadBudget)
 {
-    // The recovery attack drivers run the serial MemorySystem tick
-    // path; like every attack family their output must be
-    // budget-independent.
+    // The recovery attack drivers step a MemorySystem on the calling
+    // thread (MemorySystem::step, no worker pool); like every attack
+    // family their output must be budget-independent.
     for (const char* source : {"attack:rfm-probe", "attack:recovery-dos"}) {
         ScenarioConfig cfg;
         std::string err;

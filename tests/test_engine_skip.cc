@@ -4,9 +4,11 @@
  *
  *  - Equivalence properties: skip=on must reproduce skip=off bit for
  *    bit — same resultJson() — across the determinism grid (channel
- *    counts, thread budgets, recovery policies, counter-update modes,
- *    attack families). The horizon contract makes skipping a pure
- *    engine optimization; these tests are the enforcement.
+ *    counts, thread budgets, recovery policies, counter-update modes).
+ *    Attack families, which always skip, are pinned to digests of
+ *    their dense-stepped output instead. The horizon contract makes
+ *    skipping a pure engine optimization; these tests are the
+ *    enforcement.
  *  - Horizon honesty: MemoryController::nextEventAt must never
  *    over-advertise. Dense-tick a controller and assert that no
  *    observable state (issued commands, fired completions, alerts,
@@ -17,15 +19,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/qprac.h"
 #include "ctrl/memory_controller.h"
 #include "obs/obs.h"
 #include "sim/scenario.h"
+#include "sim/scenario_hash.h"
 
 using namespace qprac;
 using core::Qprac;
@@ -267,22 +272,98 @@ TEST(EngineSkip, ByteIdenticalUnderCounterUpdateModes)
 
 TEST(EngineSkip, ByteIdenticalOnAttackFamilies)
 {
-    // Attack drivers run the serial MemorySystem::tick path, which is
-    // dense regardless of the key; this pins that contract (a future
-    // skipping attack path must preserve byte identity too).
-    for (const char* source :
-         {"attack:wave", "attack:rfm-probe", "attack:recovery-dos"}) {
+    // Attack families ignore the skip key, so skip on vs off proves
+    // nothing here. Instead each row pins the fnv1a64 digest of the
+    // result document (and, for traced rows, of the written trace
+    // file) as captured at commit 3d78029, when every driver still
+    // ticked densely cycle by cycle. Any change to how the drivers
+    // step must reproduce these bytes exactly.
+    struct Row
+    {
+        std::vector<std::pair<const char*, std::string>> keys;
+        std::uint64_t result;
+        std::uint64_t trace; // 0 = untraced row
+    };
+    std::vector<Row> rows;
+    const std::vector<std::uint64_t> recovery_digests = {
+        2121862921246866431u,  10945422127441916070u, // rfm-probe
+        3127137722065421590u,  6063986030291935136u,
+        3127137722065421590u,  6063986030291935136u,
+        12114524010408136342u, 11973657305706015032u, // recovery-dos
+        7882161765853646914u,  357657339462825894u,
+        7882161765853646914u,  357657339462825894u};
+    std::size_t i = 0;
+    for (const char* source : {"attack:rfm-probe", "attack:recovery-dos"})
+        for (const char* recovery :
+             {"channel-stall", "bank-isolated", "group-isolated"})
+            for (const char* cu : {"inline", "queued"})
+                rows.push_back({{{"source", source},
+                                 {"recovery", recovery},
+                                 {"counter-update", cu},
+                                 {"channels", "2"},
+                                 {"nbo", "8"},
+                                 {"attack_cycles", "60000"}},
+                                recovery_digests[i++],
+                                0});
+    const std::vector<std::uint64_t> perf_digests = {
+        3903858924665950963u,  3903858924665950963u, // none
+        15866343669283899995u, 3903858924665950963u, // qprac
+        12600297920379245170u, 3903858924665950963u}; // + proactive
+    i = 0;
+    for (const char* mitigation : {"none", "qprac", "qprac+proactive-ea"})
+        for (const char* nbo : {"8", "32"})
+            rows.push_back({{{"source", "attack:perf"},
+                             {"mitigation", mitigation},
+                             {"nbo", nbo},
+                             {"attack_cycles", "200000"},
+                             {"baseline", "true"}},
+                            perf_digests[i++],
+                            0});
+    rows.push_back({{{"source", "attack:wave"}, {"nbo", "32"}},
+                    15493651965599560160u,
+                    0});
+    rows.push_back({{{"source", "attack:rfm-probe"},
+                     {"recovery", "bank-isolated"},
+                     {"channels", "2"},
+                     {"nbo", "8"},
+                     {"attack_cycles", "60000"},
+                     {"trace", "all"},
+                     {"metrics-interval", "5000"}},
+                    3127137722065421590u,
+                    5324117006529440728u});
+    rows.push_back({{{"source", "attack:recovery-dos"},
+                     {"recovery", "channel-stall"},
+                     {"channels", "2"},
+                     {"nbo", "8"},
+                     {"attack_cycles", "60000"},
+                     {"trace", "all"},
+                     {"metrics-interval", "5000"}},
+                    12114524010408136342u,
+                    14710962936840538847u});
+
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        const Row& row = rows[r];
         ScenarioConfig cfg;
         std::string err;
-        ASSERT_TRUE(cfg.set("source", source, &err)) << err;
-        if (std::string(source) == "attack:wave") {
-            cfg.nbo = 32;
-        } else {
-            ASSERT_TRUE(cfg.set("channels", "2", &err)) << err;
-            ASSERT_TRUE(cfg.set("attack_cycles", "40000", &err)) << err;
+        std::string label;
+        for (const auto& [key, value] : row.keys) {
+            ASSERT_TRUE(cfg.set(key, value, &err)) << err;
+            label += std::string(key) + "=" + value + " ";
         }
-        EXPECT_EQ(runWithSkip(cfg, "off"), runWithSkip(cfg, "on"))
-            << source;
+        const bool traced = cfg.trace != "off";
+        const std::string path =
+            testing::TempDir() + "attack_pin_" + std::to_string(r) + ".json";
+        if (traced) {
+            ASSERT_TRUE(cfg.set("trace-out", path, &err)) << err;
+        }
+        ScenarioResult res = sim::runScenario(cfg, 1);
+        EXPECT_EQ(sim::fnv1a64(res.resultJson()), row.result) << label;
+        if (traced) {
+            std::ifstream f(path, std::ios::binary);
+            std::ostringstream buf;
+            buf << f.rdbuf();
+            EXPECT_EQ(sim::fnv1a64(buf.str()), row.trace) << label;
+        }
     }
 }
 

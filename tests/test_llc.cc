@@ -67,8 +67,9 @@ struct Fixture
     {
         // Drive the MemorySystem (not the bare controller): it owns the
         // submit/completion mailboxes the LLC now talks through.
+        // The LLC acts every cycle, so each step covers one cycle.
         for (Cycle c = 0; c < cycles; ++c) {
-            msys.tick(now);
+            msys.step(now, now + 1);
             llc.tick(now);
             ++now;
         }

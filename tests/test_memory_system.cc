@@ -7,10 +7,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/qprac.h"
 #include "ctrl/memory_system.h"
 #include "mitigations/factory.h"
+#include "obs/obs.h"
 #include "sim/experiment.h"
 #include "sim/system.h"
 #include "sim/workloads.h"
@@ -219,14 +224,14 @@ TEST(MemorySystem, AttackOnChannel0NeverPerturbsChannel1)
     // Hammer rows of channel 0, bank 0 with row-conflict reads until
     // the PRAC counters cross NBO=8 and alerts fire.
     int row_toggle = 0;
-    for (Cycle now = 0; now < 120'000; ++now) {
+    for (Cycle now = 0; now < 120'000;) {
         if (!msys.readQueueFull(0)) {
             Addr addr =
                 mapper.makeAddr(0, 0, 0, 0, 8 + 32 * (row_toggle++ % 2),
                                 0);
             msys.enqueueRead(addr, mapper.decode(addr), 0, {}, now);
         }
-        msys.tick(now);
+        now = msys.step(now, 120'000);
     }
     msys.flushMitigationActs();
 
@@ -286,4 +291,123 @@ TEST(MemorySystem, TwoChannelRunIsDeterministic)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.acts, b.acts);
     EXPECT_DOUBLE_EQ(a.ipc_sum, b.ipc_sum);
+}
+
+// --- Driver stepping (MemorySystem::step) -----------------------------
+
+namespace {
+
+/** Everything a direct driver run can observe, for exact comparison. */
+struct DriverRun
+{
+    std::vector<std::pair<Cycle, Cycle>> reads; ///< (issue, done) stamps
+    std::string stats;    ///< deviceStats() + ctrlStats()
+    std::string commands; ///< the kCmd event stream (CSV)
+    std::uint64_t refused = 0; ///< attacker enqueues refused (queue full)
+    std::uint64_t alerts = 0;
+    ctrl::SkipStats skip;
+};
+
+/**
+ * A small recovery-attack-style driver on 2 channels (QPRAC, NBO 8,
+ * bank-isolated recovery, a 4-entry read queue): paced probes
+ * alternate between channel 0 and channel 1, an attacker keeps 4 reads
+ * in flight on channel 0 bank 0 and retries whenever the queue refused
+ * one, then a drain phase lets everything complete. The reference run
+ * (@p skip false) steps one cycle at a time with skipping off, which is
+ * per-cycle driving; the skipping run lets step() choose each window.
+ */
+DriverRun
+runStepDriver(bool skip)
+{
+    Organization org = orgWithChannels(2, 1);
+    AddressMapper mapper(org);
+    ctrl::ControllerConfig cc;
+    cc.read_q_capacity = 4;
+    cc.abo.recovery = ctrl::RecoveryKind::BankIsolated;
+    MemorySystem msys(org, dram::TimingParams::ddr5Prac(), cc,
+                      qpracFactory(8));
+    obs::RecorderConfig rc;
+    rc.mask = obs::kCmd;
+    obs::EventRecorder recorder(rc, msys.channels());
+    msys.setEventRecorder(&recorder);
+    msys.setCycleSkipping(skip);
+
+    DriverRun out;
+    auto read = [&](int channel, int bank, int row, Cycle now,
+                    int* outstanding) {
+        const Addr addr = mapper.makeAddr(channel, 0, bank % 8, bank / 8,
+                                          row, 0);
+        const std::size_t idx = out.reads.size();
+        const bool ok = msys.enqueueRead(
+            addr, mapper.decode(addr), 0,
+            [&out, idx, outstanding](Cycle done) {
+                out.reads[idx].second = done;
+                if (outstanding)
+                    --*outstanding;
+            },
+            now);
+        if (ok)
+            out.reads.push_back({now, 0});
+        return ok;
+    };
+
+    constexpr Cycle kProbePeriod = 613;
+    constexpr Cycle kTotal = 40'000;
+    int outstanding = 0;
+    int next_row = 0;
+    int probe_row = 0;
+    for (Cycle now = 0; now < kTotal;) {
+        if (now % kProbePeriod == 0) {
+            // A probe the full queue refuses is dropped, never retried.
+            read(static_cast<int>(now / kProbePeriod % 2), 5,
+                 4096 + 2 * (probe_row++ % 32), now, nullptr);
+        }
+        while (outstanding < 4) {
+            if (!read(0, 0, 64 + 4 * (next_row % 16), now, &outstanding)) {
+                ++out.refused;
+                break;
+            }
+            ++next_row;
+            ++outstanding;
+        }
+        const Cycle due = (now / kProbePeriod + 1) * kProbePeriod;
+        now = msys.step(now, skip ? std::min(due, kTotal) : now + 1);
+    }
+    const Cycle limit = kTotal + 100'000;
+    for (Cycle now = kTotal; !msys.drained() && now < limit;)
+        now = msys.step(now, skip ? limit : now + 1);
+
+    StatSet st;
+    msys.deviceStats().exportTo(st, "dram.");
+    msys.ctrlStats().exportTo(st, "ctrl.");
+    for (const auto& [name, value] : st.entries())
+        out.stats += name + "=" + std::to_string(value) + "\n";
+    out.commands = recorder.toCsv();
+    out.alerts = msys.alerts();
+    out.skip = msys.skipStats();
+    return out;
+}
+
+} // namespace
+
+TEST(MemorySystemStep, SkippingStepsMatchPerCycleDriving)
+{
+    const DriverRun dense = runStepDriver(false);
+    const DriverRun skipped = runStepDriver(true);
+    // The scenario exercises what step() must be exact about: alerts
+    // and recoveries, refused enqueues, completions on both channels.
+    EXPECT_GT(dense.alerts, 0u);
+    EXPECT_GT(dense.refused, 0u);
+    EXPECT_GT(dense.reads.size(), 100u);
+    for (const auto& [issue, done] : dense.reads)
+        EXPECT_GT(done, issue) << "read issued at " << issue
+                               << " never completed";
+
+    EXPECT_EQ(skipped.refused, dense.refused);
+    EXPECT_EQ(skipped.reads, dense.reads);
+    EXPECT_EQ(skipped.stats, dense.stats);
+    EXPECT_EQ(skipped.commands, dense.commands);
+    EXPECT_EQ(dense.skip.cycles_skipped, 0u);
+    EXPECT_GT(skipped.skip.cycles_skipped, 0u);
 }

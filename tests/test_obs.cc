@@ -464,6 +464,36 @@ TEST(ObsCli, ProfileEngineSaysDisabledWhenSkipIsOff)
     EXPECT_NE(on.find("dense ticks"), std::string::npos);
 }
 
+TEST(ObsCli, ProfileReportsAttackPointSkipAndWall)
+{
+    // Attack drivers step a MemorySystem, so an attack point has skip
+    // counters and a wall time to report (it is not a cache hit).
+    const std::vector<std::string> point = {
+        "--set", "source=attack:rfm-probe", "--channels", "2",
+        "--nbo", "8", "--set", "attack_cycles=20000"};
+    std::vector<std::string> args = point;
+    args.push_back("--profile=engine,wall");
+    const std::string out = runCli(args);
+    EXPECT_EQ(out.find("cycle skipping disabled"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("nothing ran"), std::string::npos) << out;
+    const std::size_t row = out.find("cycles skipped");
+    ASSERT_NE(row, std::string::npos) << out;
+    const std::string value =
+        out.substr(out.find_first_not_of(' ', row + 14), 1);
+    EXPECT_NE(value, "0") << out;
+    EXPECT_NE(out.find("wall ms"), std::string::npos) << out;
+    // Rows derived from sim.cycles are omitted (attack points have none).
+    EXPECT_EQ(out.find("skipped %"), std::string::npos) << out;
+    EXPECT_EQ(out.find("sim cycles/sec"), std::string::npos) << out;
+
+    // The result document is unchanged: digest captured at commit
+    // 3d78029, before attack points reported skip counters.
+    args = point;
+    args.push_back("--json");
+    EXPECT_EQ(sim::fnv1a64(runCli(args)), 10350751550956114350u);
+}
+
 TEST(ObsCli, MetricsFlagPrintsReportAndDefaultsInterval)
 {
     const std::string out = runCli(withFlags({"--metrics"}));
