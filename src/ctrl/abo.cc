@@ -6,11 +6,14 @@
 namespace qprac::ctrl {
 
 AboEngine::AboEngine(const AboConfig& config,
-                     const dram::TimingParams& timing)
+                     const dram::TimingParams& timing, int num_banks)
     : cfg_(config),
       t_(timing),
       policy_(makeRecoveryPolicy(config.recovery))
 {
+    if (!policy_->channelScope())
+        bank_ = std::make_unique<BankRecoveryEngine>(
+            *policy_, t_, cfg_.nmit, cfg_.scope, num_banks);
 }
 
 void
@@ -26,16 +29,8 @@ AboEngine::tick(dram::DramDevice& dev, Cycle now)
 {
     // Isolated policies: alerts are handled per bank; the channel-wide
     // machine below still serves the policy RFM pump (Mithril/PrIDE).
-    bank_rfm_this_tick_ = false;
-    if (!policy_->channelScope()) {
-        if (!bank_) {
-            bank_ = std::make_unique<BankRecoveryEngine>(
-                *policy_, t_, cfg_.nmit, cfg_.scope, dev.numBanks());
-            bank_->setEventSink(sink_);
-        }
-        if (cfg_.enabled)
-            bank_rfm_this_tick_ = bank_->tick(dev, refresh_, now);
-    }
+    bank_rfm_this_tick_ =
+        bank_ && cfg_.enabled && bank_->tick(dev, refresh_, now);
 
     switch (state_) {
       case State::Idle:
@@ -125,15 +120,9 @@ AboEngine::nextEventAt(const dram::DramDevice& dev, Cycle now) const
 {
     Cycle at = kNeverCycle;
 
-    // Per-bank machines (isolated policies). Before the first tick the
-    // engine does not exist yet; a requested alert then moves state on
-    // the next tick.
-    if (!policy_->channelScope() && cfg_.enabled) {
-        if (bank_)
-            at = std::min(at, bank_->nextEventAt(dev, now));
-        else if (dev.anyBankAlertRequested())
-            at = std::min(at, now + 1);
-    }
+    // Per-bank machines (isolated policies).
+    if (bank_ && cfg_.enabled)
+        at = bank_->nextEventAt(dev, refresh_, now);
 
     // Channel-wide machine (ChannelStall alerts + the policy RFM pump).
     switch (state_) {

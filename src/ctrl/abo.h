@@ -45,7 +45,12 @@ struct AboConfig
 class AboEngine
 {
   public:
-    AboEngine(const AboConfig& config, const dram::TimingParams& timing);
+    /**
+     * @param num_banks the channel's bank count (DramDevice::numBanks):
+     *        isolated policies build their per-bank machines up front.
+     */
+    AboEngine(const AboConfig& config, const dram::TimingParams& timing,
+              int num_banks);
 
     /**
      * Attach the refresh scheduler so per-bank recovery can yield the
@@ -169,7 +174,7 @@ class AboEngine
     AboConfig cfg_;
     const dram::TimingParams& t_;
     std::unique_ptr<RecoveryPolicy> policy_;
-    /** Per-bank machines (isolated policies; sized on first tick). */
+    /** Per-bank machines (isolated policies; null for ChannelStall). */
     std::unique_ptr<BankRecoveryEngine> bank_;
     const RefreshScheduler* refresh_ = nullptr;
     obs::EventSink* sink_ = nullptr;

@@ -43,7 +43,7 @@ MemoryController::MemoryController(dram::DramDevice& dev,
       cfg_(config),
       reads_(config.read_q_capacity),
       writes_(config.write_q_capacity),
-      abo_(config.abo, dev.timing()),
+      abo_(config.abo, dev.timing(), dev.numBanks()),
       refresh_(dev.timing(), dev.organization().ranks)
 {
     dev_.setAboDelay(std::max(1, config.abo.nmit));
@@ -331,7 +331,7 @@ MemoryController::tick(Cycle now)
             refresh_.refPending(r) ? 1 : 0;
     cons.rank_act_blocked = &rank_ref_blocked_;
     const BankRecoveryEngine* engine = abo_.bankRecovery();
-    if (abo_.channelScope() || !engine || engine->idle()) {
+    if (!engine || engine->idle()) {
         // No per-bank recovery in flight (the common cycle): the
         // engine's gates are all-open and the channel-wide gates are
         // already in allow_act/allow_cas, so only policy RFMs block.

@@ -47,10 +47,34 @@ SkipStats::note(WakeSource why)
 }
 
 void
+SkipStats::noteDense(WakeSource why)
+{
+    ++dense_ticks;
+    switch (why) {
+      case WakeSource::CommandReady:
+        ++dense_command;
+        break;
+      case WakeSource::Refresh:
+        ++dense_refresh;
+        break;
+      case WakeSource::Recovery:
+        ++dense_recovery;
+        break;
+      case WakeSource::CuqDrain:
+      case WakeSource::Mailbox:
+      case WakeSource::EpochBoundary:
+        panic("dense tick attributed to a non-controller wake source");
+    }
+}
+
+void
 SkipStats::add(const SkipStats& o)
 {
     cycles_skipped += o.cycles_skipped;
     dense_ticks += o.dense_ticks;
+    dense_command += o.dense_command;
+    dense_refresh += o.dense_refresh;
+    dense_recovery += o.dense_recovery;
     wakes_command += o.wakes_command;
     wakes_refresh += o.wakes_refresh;
     wakes_recovery += o.wakes_recovery;
@@ -344,7 +368,7 @@ MemorySystem::runShard(int channel, Cycle begin, Cycle end,
         } else {
             s.wake_at = s.controller->nextEventAt(u, &s.wake_why);
             if (s.wake_at == u + 1)
-                ++s.skip.dense_ticks;
+                s.skip.noteDense(s.wake_why);
         }
         ++u;
     }

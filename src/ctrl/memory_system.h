@@ -97,14 +97,20 @@ using MitigationFactory =
  * Cycle-skipping efficiency counters. cycles_skipped counts shard
  * cycles never densely ticked; dense_ticks counts ticks whose
  * advertised horizon was now + 1 (back-to-back ticks, nothing skipped
- * after them); the wakes_* counters attribute each horizon-bounded
- * jump to the concern that ended it (WakeSource). Purely
- * observational — they never feed result documents or hashes.
+ * after them), and the dense_* counters split it by the controller
+ * concern that set that horizon; the wakes_* counters attribute each
+ * horizon-bounded jump to the concern that ended it (WakeSource).
+ * Purely observational — they never feed result documents or hashes.
  */
 struct SkipStats
 {
     std::uint64_t cycles_skipped = 0;
     std::uint64_t dense_ticks = 0;
+    /** dense_ticks by WakeSource. Only these three are controller
+     * concerns; the CuqDrain concern never fires. */
+    std::uint64_t dense_command = 0;
+    std::uint64_t dense_refresh = 0;
+    std::uint64_t dense_recovery = 0;
     std::uint64_t wakes_command = 0;  ///< WakeSource::CommandReady
     std::uint64_t wakes_refresh = 0;  ///< WakeSource::Refresh
     std::uint64_t wakes_recovery = 0; ///< WakeSource::Recovery
@@ -115,6 +121,9 @@ struct SkipStats
 
     /** Attribute one wake to @p why. */
     void note(WakeSource why);
+
+    /** Count one dense tick whose now + 1 horizon @p why set. */
+    void noteDense(WakeSource why);
 
     /** Accumulate another shard's counters. */
     void add(const SkipStats& o);

@@ -52,19 +52,22 @@ BankRecoveryEngine::coveredIdleAt(const dram::DramDevice& dev,
 
 Cycle
 BankRecoveryEngine::nextEventAt(const dram::DramDevice& dev,
+                                const RefreshScheduler* refresh,
                                 Cycle now) const
 {
-    // A requested alert starts a machine on the next tick. (Alert
-    // levels move only on ACT/RFM/REF commands, so during a skipped
-    // span this sample cannot flip.)
-    if (dev.anyBankAlertRequested())
-        return now + 1;
-    if (active_ == 0)
+    // One virtual sample gates the per-bank alert scan, as in tick().
+    const bool any_alert = dev.anyBankAlertRequested();
+    if (active_ == 0 && !any_alert)
         return kNeverCycle;
     Cycle at = kNeverCycle;
-    for (const BankState& m : banks_) {
+    const int n = static_cast<int>(banks_.size());
+    for (int b = 0; b < n; ++b) {
+        const BankState& m = banks_[static_cast<std::size_t>(b)];
         switch (m.state) {
           case State::Idle:
+            // tick() starts a machine exactly when this holds.
+            if (any_alert && dev.bankAlertAsserted(b))
+                return now + 1;
             break;
           case State::Window:
             at = std::min(at, m.window_acts >= t_.abo_act_max
@@ -75,11 +78,13 @@ BankRecoveryEngine::nextEventAt(const dram::DramDevice& dev,
             at = std::min(at, coveredIdleAt(dev, m, now));
             break;
           case State::Pumping:
-            // Bus/REF contention between machines resolves densely:
-            // once past next_rfm_at the machine re-arbitrates each
-            // cycle until its RFM lands or it finishes.
-            at = std::min(at, now < m.next_rfm_at ? m.next_rfm_at
-                                                  : now + 1);
+            if (now < m.next_rfm_at)
+                at = std::min(at, m.next_rfm_at);
+            else if (m.rfms_left == 0)
+                at = std::min(at, now + 1); // returns to Idle
+            else if (!refresh || !refresh->refPending(dev.rankOf(b)))
+                at = std::min(at, coveredIdleAt(dev, m, now));
+            // else: the REF wins the rank; its issue is a wake.
             break;
         }
     }

@@ -63,12 +63,30 @@ class BankRecoveryEngine
 
     /**
      * Event horizon: earliest future cycle any machine can change state
-     * given no intervening command. Conservative lower bound — waking
-     * early is safe; kNeverCycle means every possible transition hangs
-     * off an external event that is itself a wake (an ACT raising an
-     * alert, a PRE closing a covered bank).
+     * given no intervening command. Call after tick(now). Each concern
+     * is exact — the cycle tick() would act, or kNeverCycle when only
+     * a command that is itself a wake can enable the transition:
+     *
+     *  - Idle: now + 1 iff bankAlertAsserted(b) — the predicate tick()
+     *    starts a machine on. It flips only on an ACT (alert level,
+     *    per-bank ABODelay), an RFM/REF (alert level) or the machine
+     *    returning to Idle, each a wake. The channel-wide
+     *    anyBankAlertRequested() is not a horizon: it stays true while
+     *    the alerting bank's own machine is in flight or its ABODelay
+     *    gate is shut.
+     *  - Window: window_end, or now + 1 once the ACT budget is spent.
+     *  - Quiesce: coveredIdleAt() (never while a covered bank is open;
+     *    the closing PRE is a wake).
+     *  - Pumping: next_rfm_at while it lies ahead; now + 1 when no RFM
+     *    is left (the machine returns to Idle); otherwise
+     *    coveredIdleAt(). Losing the one-RFM-per-cycle bus to another
+     *    machine is resolved by that RFM (a wake), and a pending REF
+     *    on the bank's rank (@p refresh, optional) holds the pump
+     *    until its REF issues — a wake of the refresh scheduler — so
+     *    that case contributes no concern at all.
      */
-    Cycle nextEventAt(const dram::DramDevice& dev, Cycle now) const;
+    Cycle nextEventAt(const dram::DramDevice& dev,
+                      const RefreshScheduler* refresh, Cycle now) const;
 
     /** May the controller ACT on @p bank this cycle? */
     bool allowAct(int bank) const

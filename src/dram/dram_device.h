@@ -218,7 +218,10 @@ class DramDevice
      * Fast path for the per-bank recovery poll: true when the
      * mitigation wants an alert on *some* bank. One virtual call per
      * sample instead of one per bank; when false, no
-     * bankAlertAsserted() can be true.
+     * bankAlertAsserted() can be true. When true, none may be: it
+     * stays true while the alerting bank's recovery is in flight and
+     * while its per-bank ABODelay gate is shut, so it only gates a
+     * bankAlertAsserted() scan and is never an event horizon itself.
      */
     bool anyBankAlertRequested() const;
 

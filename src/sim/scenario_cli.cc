@@ -268,6 +268,15 @@ profileReport(const ScenarioResult& res, unsigned sections)
             t.addRow({"dense ticks (horizon now+1)",
                       Table::num(static_cast<double>(sk.dense_ticks), 0)});
             t.addRow(
+                {"dense: command-ready",
+                 Table::num(static_cast<double>(sk.dense_command), 0)});
+            t.addRow(
+                {"dense: refresh",
+                 Table::num(static_cast<double>(sk.dense_refresh), 0)});
+            t.addRow(
+                {"dense: recovery",
+                 Table::num(static_cast<double>(sk.dense_recovery), 0)});
+            t.addRow(
                 {"wakes: command-ready",
                  Table::num(static_cast<double>(sk.wakes_command), 0)});
             t.addRow(
@@ -527,6 +536,11 @@ sweepJson(const ScenarioConfig& base,
         const ctrl::SkipStats& sk = point.result.sim.skip;
         w.key("cycles_skipped").value(sk.cycles_skipped);
         w.key("dense_ticks").value(sk.dense_ticks);
+        w.key("dense_reasons").beginObject();
+        w.key("command_ready").value(sk.dense_command);
+        w.key("refresh").value(sk.dense_refresh);
+        w.key("recovery").value(sk.dense_recovery);
+        w.endObject();
         w.key("wake_reasons").beginObject();
         w.key("command_ready").value(sk.wakes_command);
         w.key("refresh").value(sk.wakes_refresh);

@@ -40,7 +40,7 @@ TEST(AboEngineTest, IdleByDefault)
 {
     TimingParams t = TimingParams::ddr5Prac();
     DramDevice dev(org(), t);
-    AboEngine abo(AboConfig{}, t);
+    AboEngine abo(AboConfig{}, t, dev.numBanks());
     abo.tick(dev, 0);
     EXPECT_TRUE(abo.idle());
     EXPECT_TRUE(abo.allowAct());
@@ -54,7 +54,7 @@ TEST(AboEngineTest, AlertWalksThroughWindowQuiescePump)
     DramDevice dev(org(), t);
     Qprac q(QpracConfig::base(2, 1), &dev.pracCounters());
     dev.setMitigation(&q);
-    AboEngine abo(AboConfig{}, t);
+    AboEngine abo(AboConfig{}, t, dev.numBanks());
 
     // Drive a row to NBO=2 so the device asserts ALERT_n.
     dev.issueAct(0, 100, 0);
@@ -98,7 +98,7 @@ TEST(AboEngineTest, WindowExpiryForcesQuiesce)
     DramDevice dev(org(), t);
     Qprac q(QpracConfig::base(1, 1), &dev.pracCounters());
     dev.setMitigation(&q);
-    AboEngine abo(AboConfig{}, t);
+    AboEngine abo(AboConfig{}, t, dev.numBanks());
     dev.issueAct(0, 9, 0);
     dev.issuePre(0, static_cast<Cycle>(t.tRAS));
     ASSERT_TRUE(dev.alertAsserted());
@@ -112,7 +112,7 @@ TEST(AboEngineTest, PolicyRfmPumpsWithoutAlert)
 {
     TimingParams t = TimingParams::ddr5Prac();
     DramDevice dev(org(), t);
-    AboEngine abo(AboConfig{}, t);
+    AboEngine abo(AboConfig{}, t, dev.numBanks());
     abo.requestPolicyRfm(RfmScope::AllBank);
     EXPECT_FALSE(abo.idle());
     abo.tick(dev, 0); // Idle -> Quiesce (policy)
@@ -133,7 +133,7 @@ TEST(AboEngineTest, DisabledEngineIgnoresAlerts)
     dev.setMitigation(&q);
     AboConfig cfg;
     cfg.enabled = false;
-    AboEngine abo(cfg, t);
+    AboEngine abo(cfg, t, dev.numBanks());
     dev.issueAct(0, 9, 0);
     ASSERT_TRUE(dev.alertAsserted());
     abo.tick(dev, 10);

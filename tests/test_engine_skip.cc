@@ -157,21 +157,26 @@ struct Fixture
  * shard loop re-computes the horizon after every wake). Reports the
  * number of in-span cycles audited via @p audited_out, so callers can
  * assert the horizons actually had teeth (spans longer than one
- * cycle). @p from starts the audit mid-run, after the caller has
+ * cycle), and the number of dense (now + 1) horizons via
+ * @p dense_out. @p from starts the audit mid-run, after the caller has
  * dense-ticked [0, from) itself. Void so gtest ASSERTs can abort it.
  */
 template <typename EnqueueFn>
 void
 auditHorizons(Fixture& f, Cycle limit, EnqueueFn enqueue_at,
-              std::uint64_t* audited_out = nullptr, Cycle from = 0)
+              std::uint64_t* audited_out = nullptr, Cycle from = 0,
+              std::uint64_t* dense_out = nullptr)
 {
     std::uint64_t audited = 0;
+    std::uint64_t dense = 0;
     Cycle t = from;
     while (t < limit) {
         enqueue_at(t);
         f.mc->tick(t);
         const Cycle h = f.mc->nextEventAt(t);
         ASSERT_GT(h, t) << "horizon must be strictly in the future";
+        if (h == t + 1)
+            ++dense;
         const std::string fp = f.fingerprint();
         const Cycle stop = std::min(h, limit);
         for (Cycle u = t + 1; u < stop; ++u) {
@@ -185,6 +190,8 @@ auditHorizons(Fixture& f, Cycle limit, EnqueueFn enqueue_at,
     }
     if (audited_out)
         *audited_out = audited;
+    if (dense_out)
+        *dense_out = dense;
 }
 
 /** Banks that received a PRE among the kCmd events @p sink kept. */
@@ -367,6 +374,43 @@ TEST(EngineSkip, ByteIdenticalOnAttackFamilies)
     }
 }
 
+TEST(EngineSkip, BankIsolatedSkipsLikeChannelStall)
+{
+    // Per-bank recovery machines must not cost skipping: on an
+    // alert-heavy run, bank-isolated recovery skips within 5 points of
+    // channel-stall in both counter-update modes (the skip fraction
+    // is a deterministic function of the run).
+    auto skippedFrac = [](const char* recovery, const char* cu) {
+        ScenarioConfig cfg;
+        std::string err;
+        for (const auto& [k, v] :
+             std::vector<std::pair<const char*, const char*>>{
+                 {"source", "workload:510.parest_r"},
+                 {"mitigation", "qprac"},
+                 {"nbo", "8"},
+                 {"channels", "2"},
+                 {"insts", "40000"},
+                 {"recovery", recovery},
+                 {"counter-update", cu},
+                 {"skip", "on"}})
+            EXPECT_TRUE(cfg.set(k, v, &err)) << err;
+        const ScenarioResult res = sim::runScenario(cfg, 1);
+        EXPECT_GT(res.sim.stats.getOr("ctrl.alerts", 0), 0.0);
+        const auto& sk = res.sim.skip;
+        EXPECT_EQ(sk.dense_command + sk.dense_refresh + sk.dense_recovery,
+                  sk.dense_ticks);
+        return static_cast<double>(sk.cycles_skipped) /
+               static_cast<double>(res.sim.cycles * 2);
+    };
+    for (const char* cu : {"inline", "queued"}) {
+        const double stall = skippedFrac("channel-stall", cu);
+        const double isolated = skippedFrac("bank-isolated", cu);
+        EXPECT_GE(isolated, stall - 0.05)
+            << cu << ": bank-isolated " << isolated
+            << " vs channel-stall " << stall;
+    }
+}
+
 TEST(EngineSkip, SkipKeyValidatesAndRoundTrips)
 {
     ScenarioConfig cfg;
@@ -483,6 +527,67 @@ TEST(EngineSkipHorizon, HonestUnderAboRecoveryFlow)
     EXPECT_GE(f.mc->stats().alerts, 1u);
     EXPECT_GE(f.mc->stats().rfms, 2u);
     EXPECT_GT(audited, 0u);
+}
+
+TEST(EngineSkipHorizon, HonestUnderOverlappingBankRecoveries)
+{
+    // Bank-isolated recovery with two machines in flight at once while
+    // traffic keeps flowing to the banks neither covers. Every machine
+    // concern (alert start, window, quiesce, pump, the shared RFM bus)
+    // must stay honest, and none may fall back to dense ticking while
+    // its machine merely waits: a bank whose own recovery is running
+    // still wants the alert, but that starts nothing.
+    ControllerConfig cfg;
+    cfg.abo.enabled = true;
+    cfg.abo.nmit = 2;
+    cfg.abo.recovery = ctrl::RecoveryKind::BankIsolated;
+    QpracConfig qc = QpracConfig::base(4, 2); // alert after 4 ACTs
+    Fixture f(cfg, &qc);
+    // Banks 0 and 1 (one bank group) hammer two rows in lockstep, one
+    // conflicting pair at a time, so both cross NBO together: the next
+    // pair goes in at the span start that finds the read queue empty
+    // (the reads carry completions, so the last data return is one).
+    // Banks 2 and 3 get a paced stream of writes to fresh rows, none
+    // of which ever reaches NBO.
+    int pairs = 0;
+    int paced = 0;
+    auto read = [&](int bank, int row, Cycle t) {
+        const Addr a = f.addrOf(bank, row);
+        return f.mc->enqueueRead(a, f.mapper.decode(a), 0, [](Cycle) {},
+                                 t);
+    };
+    std::uint64_t audited = 0;
+    std::uint64_t dense = 0;
+    auditHorizons(
+        f, 20'000,
+        [&](Cycle t) {
+            if (pairs < 24 && f.mc->readQueueDepth() == 0) {
+                const int row = (pairs % 2) ? 100 : 300;
+                ASSERT_TRUE(read(0, row, t));
+                ASSERT_TRUE(read(1, row, t));
+                ++pairs;
+            }
+            while (paced < 48 && t >= static_cast<Cycle>(paced) * 150) {
+                ASSERT_TRUE(f.enqueueWrite(2 + paced % 2, 500 + paced, t));
+                ++paced;
+            }
+        },
+        &audited, 0, &dense);
+    if (HasFatalFailure())
+        return;
+    const ctrl::BankRecoveryEngine* engine = f.mc->abo().bankRecovery();
+    ASSERT_NE(engine, nullptr);
+    EXPECT_EQ(pairs, 24);
+    EXPECT_EQ(engine->peakConcurrent(), 2) << "recoveries never overlapped";
+    EXPECT_GE(f.mc->stats().alerts, 4u);
+    EXPECT_EQ(f.mc->stats().rfms, 2 * f.mc->stats().alerts);
+    EXPECT_TRUE(f.mc->drained());
+    EXPECT_TRUE(f.mc->abo().idle());
+    EXPECT_GT(audited, 10'000u);
+    // 91 dense (now + 1) horizons with exact concerns; treating a
+    // still-requested alert or a pump waiting on its banks as now + 1
+    // makes it 2795.
+    EXPECT_LE(dense, 200u);
 }
 
 TEST(EngineSkipHorizon, HonestUnderPolicyRfmPacing)

@@ -462,6 +462,7 @@ TEST(ObsCli, ProfileEngineSaysDisabledWhenSkipIsOff)
         runCli(withFlags({"--set", "skip=on", "--profile=engine-skip"}));
     EXPECT_NE(on.find("cycles skipped"), std::string::npos);
     EXPECT_NE(on.find("dense ticks"), std::string::npos);
+    EXPECT_NE(on.find("dense: recovery"), std::string::npos);
 }
 
 TEST(ObsCli, ProfileReportsAttackPointSkipAndWall)
@@ -529,5 +530,12 @@ TEST(ObsCli, SweepJsonCarriesMetricsSidecar)
         ASSERT_NE(metrics->find("series"), nullptr);
         // The result document itself stays observability-free.
         EXPECT_EQ(point.find("result")->find("metrics"), nullptr);
+        // Dense ticks, split by the concern that set each horizon.
+        const JsonValue* dense = point.find("dense_reasons");
+        ASSERT_NE(dense, nullptr);
+        EXPECT_EQ(dense->find("command_ready")->asU64() +
+                      dense->find("refresh")->asU64() +
+                      dense->find("recovery")->asU64(),
+                  point.find("dense_ticks")->asU64());
     }
 }

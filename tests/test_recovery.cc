@@ -115,15 +115,15 @@ TEST(BankRecoveryTest, IsolatedRecoveryBlocksOnlyCoveredBanks)
     dev.setMitigation(&q);
     AboConfig cfg;
     cfg.recovery = RecoveryKind::BankIsolated;
-    AboEngine abo(cfg, t);
+    AboEngine abo(cfg, t, dev.numBanks());
+    ASSERT_NE(abo.bankRecovery(), nullptr); // built up front
 
     Cycle now = 0;
     hammer(dev, 0, 100, 2, &now); // NBO=2: bank 0 wants the alert
     ASSERT_TRUE(dev.bankAlertAsserted(0));
     EXPECT_FALSE(dev.bankAlertAsserted(1));
 
-    abo.tick(dev, now); // engine created; bank 0 enters its window
-    ASSERT_NE(abo.bankRecovery(), nullptr);
+    abo.tick(dev, now); // bank 0 enters its window
     EXPECT_FALSE(abo.idle());
     EXPECT_EQ(abo.alerts(), 1u);
     // The channel gate stays open; only bank 0 is budget-limited.
@@ -167,7 +167,7 @@ TEST(BankRecoveryTest, AlertStormOverlapsRecoveries)
     dev.setMitigation(&q);
     AboConfig cfg;
     cfg.recovery = RecoveryKind::BankIsolated;
-    AboEngine abo(cfg, t);
+    AboEngine abo(cfg, t, dev.numBanks());
 
     Cycle now = 0;
     hammer(dev, 2, 100, 2, &now); // bank 2 (group 1)
