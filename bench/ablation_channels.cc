@@ -2,9 +2,9 @@
  * @file
  * Ablation — channel scaling: weighted speedup and alerts/tREFI for
  * QPRAC vs MOAT over 1/2/4 independent DRAM channels, plus the engine
- * scaling matrix: v1 (alternating) vs v2 (pipelined) over
- * channels x skip x threads, emitted
- * to BENCH_engine.json together with a dense-vs-next-event skip
+ * scaling matrix over channels x skip x threads (threads=1 runs the
+ * alternating schedule, more threads the pipelined one), emitted to
+ * BENCH_engine.json together with a dense-vs-next-event skip
  * efficiency measurement on an idle-heavy workload.
  *
  * The whole figure is driven by the checked-in scenario file
@@ -37,11 +37,11 @@ main(int argc, char** argv)
 {
     bench::banner("Ablation",
                   "channel scaling: QPRAC vs MOAT over 1/2/4 channels, "
-                  "engine v1-vs-v2 x skip scaling matrix at 4/8 channels");
+                  "engine threads x skip scaling matrix at 4/8 channels");
 
     // --cache-dir / QPRAC_CACHE_DIR: caches the baseline and main
     // sweeps only. The engine-scaling matrix below must never be
-    // cached: its rows differ only in threads/pipeline/skip,
+    // cached: its rows differ only in threads/skip,
     // which are result-neutral and so excluded from the scenario hash —
     // all rows share one hash, and the point of the matrix is wall
     // clock, which a cache hit falsifies.
@@ -122,32 +122,23 @@ main(int argc, char** argv)
     }
     t.print();
 
-    // --- Engine scaling: v1 vs v2, channels x skip x threads -----------
-    // One row per (channels, engine, skip, threads). v1 is the
-    // alternating engine (pipeline=off); v2 is the pipelined engine;
-    // skip toggles next-event cycle skipping in the shard loops. Every row is asserted bit-identical to the v1 dense
-    // serial reference (skipping is a pure engine optimization, like
-    // threading), so the only thing that moves between rows is the
-    // wall clock. Speedups are vs the v1 skip=off threads=1 row of the
-    // same channel count. The whole matrix is written to
-    // BENCH_engine.json (the checked-in copy records a reference
-    // machine; QPRAC_BENCH_ENGINE_OUT moves it).
-    struct Engine
-    {
-        const char* label;
-        const char* pipeline;
-    };
-    const std::vector<Engine> engines = {
-        {"v1", "off"},
-        {"v2", "on"},
-    };
-
+    // --- Engine scaling: channels x skip x threads --------------------
+    // One row per (channels, skip, threads). threads=1 runs the
+    // alternating schedule; more threads get a worker pool and with it
+    // the pipelined schedule (sim/system.h). skip toggles next-event
+    // cycle skipping in the shard loops. Every row is asserted
+    // bit-identical to the dense threads=1 reference (skipping and
+    // threading are pure engine optimizations), so the only thing that
+    // moves between rows is the wall clock. Speedups are vs the dense
+    // threads=1 row of the same channel count. The whole matrix is
+    // written to BENCH_engine.json (the checked-in copy records a
+    // reference machine; QPRAC_BENCH_ENGINE_OUT moves it).
     bench::ResultSink scale_csv(
         "ablation_channels_scaling",
-        {"channels", "engine", "skip", "threads", "wall_ms",
-         "sim_cycles_per_sec", "speedup_vs_v1_t1", "cycles", "ipc_sum"});
-    Table st({"channels", "engine", "skip", "threads", "wall ms",
-              "Mcycles/s", "speedup vs v1 t1"});
+        {"channels", "schedule", "skip", "threads", "wall_ms",
+         "sim_cycles_per_sec", "speedup_vs_t1", "cycles", "ipc_sum"});
+    Table st({"channels", "schedule", "skip", "threads", "wall ms",
+              "Mcycles/s", "speedup vs t1"});
 
     JsonWriter bench_json;
     bench_json.beginObject();
@@ -156,16 +147,16 @@ main(int argc, char** argv)
         static_cast<std::uint64_t>(hardwareThreads()));
     bench_json.key("rows").beginArray();
 
-    // v1 threads=1 dense vs skipping at 8 channels: the skip-bar pair.
+    // threads=1 dense vs skipping at 8 channels: the skip-bar pair.
     // Channel striping leaves each 8-channel shard idle for the vast
     // majority of its cycles, so this is the idle-heavy point where
     // next-event skipping must pay (QPRAC_ASSERT_SKIP below).
     double wall_8ch_dense = 0.0, wall_8ch_skip = 0.0;
-    // v2 threads=4 dense at 8 channels: against wall_8ch_dense, the
+    // threads=4 dense at 8 channels: against wall_8ch_dense, the
     // thread-scaling pair (QPRAC_ASSERT_SCALING below). Dense rows
     // give each shard enough work per epoch for threads to pay; with
     // skipping on, shard work is too small to amortize the barriers.
-    double wall_v2_t4_8ch_dense = 0.0;
+    double wall_t4_8ch_dense = 0.0;
     for (const char* ch : {"4", "8"}) {
         ScenarioConfig scaling = base;
         bool ok = scaling.set("baseline", "false", &set_err) &&
@@ -175,76 +166,61 @@ main(int argc, char** argv)
         if (!ok)
             fatal(strCat("bad scaling scenario: ", set_err));
 
-        double wall_v1_t1 = 0.0;
-        std::string json_v1; // v1 dense serial identity reference
-        std::map<std::string, std::string> json_t1; // per-engine t1 ref
-        for (const auto& eng : engines) {
-            if (!scaling.set("pipeline", eng.pipeline, &set_err))
-                fatal(strCat("bad engine override: ", set_err));
-            for (const char* skip : {"off", "on"}) {
-                if (!scaling.set("skip", skip, &set_err))
-                    fatal(strCat("bad skip override: ", set_err));
-                for (int threads : {1, 2, 4}) {
-                    scaling.threads = threads;
-                    auto run = sim::runSweep(scaling, SweepSpec{}, &err);
-                    if (run.size() != 1)
-                        fatal(strCat("scaling run failed: ", err));
-                    const SweepPointResult& p = run.front();
-                    const std::string json = p.result.resultJson();
-                    // Thread-count and skip invariance within each
-                    // engine (one reference per engine label covers
-                    // both axes)…
-                    auto [it, fresh] = json_t1.emplace(eng.label, json);
-                    if (!fresh && it->second != json)
-                        fatal(strCat(eng.label, " skip=", skip,
-                                     " diverged across rows"));
-                    // …and v2 must be bit-identical to v1 outright.
-                    const bool dense = std::string(skip) == "off";
-                    if (std::string(eng.label) == "v1") {
-                        json_v1 = json;
-                        if (dense && threads == 1)
-                            wall_v1_t1 = p.wall_ms;
-                    } else if (std::string(eng.label) == "v2" &&
-                               json != json_v1) {
-                        fatal("v2 engine diverged from v1 output");
-                    }
-                    if (std::string(ch) == "8") {
-                        if (std::string(eng.label) == "v1" &&
-                            threads == 1)
-                            (dense ? wall_8ch_dense : wall_8ch_skip) =
-                                p.wall_ms;
-                        if (dense && std::string(eng.label) == "v2" &&
-                            threads == 4)
-                            wall_v2_t4_8ch_dense = p.wall_ms;
-                    }
-                    const double speedup =
-                        p.wall_ms > 0 ? wall_v1_t1 / p.wall_ms : 0.0;
-                    const double mcps = p.sim_cycles_per_sec / 1e6;
-                    scale_csv.addRow(
-                        {ch, eng.label, skip, Table::num(threads, 0),
-                         Table::num(p.wall_ms, 1), Table::num(mcps, 2),
-                         Table::num(speedup, 2),
-                         Table::num(double(p.result.sim.cycles), 0),
-                         Table::num(p.result.sim.ipc_sum, 3)});
-                    st.addRow({ch, eng.label, skip,
-                               Table::num(threads, 0),
-                               Table::num(p.wall_ms, 1),
-                               Table::num(mcps, 2),
-                               Table::num(speedup, 2)});
-                    bench_json.beginObject();
-                    bench_json.key("channels").value(ch);
-                    bench_json.key("engine").value(eng.label);
-                    bench_json.key("skip").value(skip);
-                    bench_json.key("threads").value(
-                        static_cast<std::uint64_t>(threads));
-                    bench_json.key("wall_ms").value(p.wall_ms);
-                    bench_json.key("sim_cycles_per_sec")
-                        .value(p.sim_cycles_per_sec);
-                    bench_json.key("speedup_vs_v1_t1").value(speedup);
-                    bench_json.key("cycles_skipped")
-                        .value(p.result.sim.skip.cycles_skipped);
-                    bench_json.endObject();
+        double wall_t1 = 0.0;
+        std::string json_ref; // dense threads=1 identity reference
+        for (const char* skip : {"off", "on"}) {
+            if (!scaling.set("skip", skip, &set_err))
+                fatal(strCat("bad skip override: ", set_err));
+            const bool dense = std::string(skip) == "off";
+            for (int threads : {1, 2, 4}) {
+                scaling.threads = threads;
+                auto run = sim::runSweep(scaling, SweepSpec{}, &err);
+                if (run.size() != 1)
+                    fatal(strCat("scaling run failed: ", err));
+                const SweepPointResult& p = run.front();
+                const std::string json = p.result.resultJson();
+                if (json_ref.empty())
+                    json_ref = json;
+                else if (json != json_ref)
+                    fatal(strCat("engine diverged at skip=", skip,
+                                 " threads=", threads));
+                if (dense && threads == 1)
+                    wall_t1 = p.wall_ms;
+                if (std::string(ch) == "8") {
+                    if (threads == 1)
+                        (dense ? wall_8ch_dense : wall_8ch_skip) =
+                            p.wall_ms;
+                    if (dense && threads == 4)
+                        wall_t4_8ch_dense = p.wall_ms;
                 }
+                const char* schedule =
+                    sim::enginePoolDegree(threads, scaling.channels) > 1
+                        ? "pipelined"
+                        : "alternating";
+                const double speedup =
+                    p.wall_ms > 0 ? wall_t1 / p.wall_ms : 0.0;
+                std::vector<std::string> row = {
+                    ch, schedule, skip, Table::num(threads, 0),
+                    Table::num(p.wall_ms, 1),
+                    Table::num(p.sim_cycles_per_sec / 1e6, 2),
+                    Table::num(speedup, 2)};
+                st.addRow(row);
+                row.push_back(Table::num(double(p.result.sim.cycles), 0));
+                row.push_back(Table::num(p.result.sim.ipc_sum, 3));
+                scale_csv.addRow(row);
+                bench_json.beginObject();
+                bench_json.key("channels").value(ch);
+                bench_json.key("schedule").value(schedule);
+                bench_json.key("skip").value(skip);
+                bench_json.key("threads").value(
+                    static_cast<std::uint64_t>(threads));
+                bench_json.key("wall_ms").value(p.wall_ms);
+                bench_json.key("sim_cycles_per_sec")
+                    .value(p.sim_cycles_per_sec);
+                bench_json.key("speedup_vs_t1").value(speedup);
+                bench_json.key("cycles_skipped")
+                    .value(p.result.sim.skip.cycles_skipped);
+                bench_json.endObject();
             }
         }
     }
@@ -298,7 +274,7 @@ main(int argc, char** argv)
         std::printf("\nskip efficiency (444.namd, 4ch, threads=1): "
                     "%.1f%% of shard cycles skipped, %.2fx sim-cycles/sec "
                     "vs dense end to end\n"
-                    "skip efficiency (429.mcf, 8ch, v1, threads=1): "
+                    "skip efficiency (429.mcf, 8ch, threads=1): "
                     "%.2fx vs dense\n",
                     pct, namd_ratio, skip_ratio_8ch);
         bench_json.key("skip_bench").beginObject();
@@ -309,7 +285,7 @@ main(int argc, char** argv)
         bench_json.key("dense_cycles_per_sec").value(cps[0]);
         bench_json.key("skip_cycles_per_sec").value(cps[1]);
         bench_json.key("speedup").value(namd_ratio);
-        bench_json.key("speedup_8ch_v1_t1").value(skip_ratio_8ch);
+        bench_json.key("speedup_8ch_t1").value(skip_ratio_8ch);
         bench_json.endObject();
     }
 
@@ -324,26 +300,25 @@ main(int argc, char** argv)
             std::printf("note: could not write %s\n", out_path.c_str());
     }
 
-    // CI smoke hook: on a multi-core runner the v2 engine at 4 threads
-    // must clearly beat the v1 engine at 1 thread on the dense
-    // 8-channel point (generous 1.5x bar; scaling is machine noise on
-    // fewer than 4 hardware threads, so the assert is opt-in and
-    // self-skipping).
+    // CI smoke hook: on a multi-core runner the pipelined engine at 4
+    // threads must clearly beat the alternating engine at 1 thread on
+    // the dense 8-channel point (generous 1.5x bar; scaling is machine
+    // noise on fewer than 4 hardware threads, so the assert is opt-in
+    // and self-skipping).
     if (std::getenv("QPRAC_ASSERT_SCALING")) {
         if (hardwareThreads() < 4) {
             std::printf("scaling assert skipped: only %d hardware "
                         "threads\n",
                         hardwareThreads());
         } else {
-            const double ratio =
-                wall_v2_t4_8ch_dense > 0
-                    ? wall_8ch_dense / wall_v2_t4_8ch_dense
-                    : 0.0;
-            std::printf("scaling assert: v2@4t vs v1@1t at 8 channels, "
+            const double ratio = wall_t4_8ch_dense > 0
+                                     ? wall_8ch_dense / wall_t4_8ch_dense
+                                     : 0.0;
+            std::printf("scaling assert: 4t vs 1t at 8 channels, "
                         "skip=off = %.2fx\n",
                         ratio);
             if (ratio < 1.5)
-                fatal(strCat("engine v2 scaling below bar: ",
+                fatal(strCat("engine thread scaling below bar: ",
                              Table::num(ratio, 2), "x < 1.5x"));
         }
     }
@@ -366,9 +341,9 @@ main(int argc, char** argv)
         "\nTakeaway: sharding the memory system across channels spreads "
         "activations, so per-bank PRAC counts grow more slowly and both "
         "designs alert less; QPRAC's slowdown stays near zero at every "
-        "channel count. The engine matrix shows v2's pipelined overlap "
+        "channel count. The engine matrix shows the pipelined overlap "
         "plus the next-event cycle skipping: identical "
-        "simulation output to v1 dense ticking at every row, wall clock "
+        "simulation output to dense serial ticking at every row, wall clock "
         "bounded by the physical core count (%d here), full numbers in "
         "%s.\n",
         hardwareThreads(), out_path.c_str());

@@ -17,7 +17,7 @@
  * observed at syncProducer(), so whether a push reports "full" is a
  * deterministic function of the barrier schedule and never of how far
  * a concurrently-running consumer happened to get. When the phases
- * alternate (the v1 engine and MemorySystem::step), a barrier
+ * alternate (the alternating schedule and MemorySystem::step), a barrier
  * precedes every producer phase and pushStaged() is exactly push().
  *
  * FIFO order is the contract the engine's determinism proof leans on:

@@ -375,25 +375,17 @@ MemorySystem::runShard(int channel, Cycle begin, Cycle end,
 }
 
 void
-MemorySystem::runEpoch(Cycle begin, Cycle end, WorkerPool* pool,
-                       Cycle emit_guard)
+MemorySystem::runEpoch(Cycle begin, Cycle end, WorkerPool*)
 {
     QP_ASSERT(end > begin, "empty epoch");
     QP_ASSERT(end - begin <= epoch_,
               "epoch longer than the completion lookahead");
     // Alternating-phase callers push between runEpoch calls; syncing
     // here (producer thread, shards quiescent) makes the staged submit
-    // view identical to the live head the v1 engine always saw.
+    // view identical to the live head.
     syncSubmitMailboxes();
-    const Cycle guard = emit_guard ? emit_guard : end;
-    auto task = [&](std::size_t i) {
-        runShard(static_cast<int>(i), begin, end, guard);
-    };
-    if (pool && pool->degree() > 1 && shards_.size() > 1)
-        pool->run(shards_.size(), task);
-    else
-        for (std::size_t i = 0; i < shards_.size(); ++i)
-            task(i);
+    for (std::size_t i = 0; i < shards_.size(); ++i)
+        runShard(static_cast<int>(i), begin, end, end);
 }
 
 Cycle
@@ -411,7 +403,7 @@ MemorySystem::step(Cycle now, Cycle limit)
         if (s.wake_at < next)
             next = std::max(s.wake_at, now) + 1;
     }
-    runEpoch(now, next, nullptr);
+    runEpoch(now, next);
     deliverCompletions(next - 1);
     return next;
 }

@@ -207,23 +207,20 @@ class MemorySystem
      * Run every shard's tick loop over [begin, end) — at most
      * epochLength() cycles — ingesting mailboxed submits stamped
      * before each cycle and emitting completions to the outboxes.
-     * With a pool of degree > 1 the shards run on the worker pool;
-     * results are identical either way.
-     *
-     * @p emit_guard is the earliest cycle a completion emitted inside
-     * this window may fire at (0 = @p end, the v1 alternating-phase
-     * bound). The pipelined engine runs its main phase one window
-     * ahead of the shards and passes end + window so the overlap is
-     * assert-checked, not assumed.
+     * Shards run serially on the calling thread; the WorkerPool* is
+     * ignored (kept for three-argument callers). A completion emitted
+     * inside the window may fire no earlier than @p end (asserted).
      */
-    void runEpoch(Cycle begin, Cycle end, WorkerPool* pool,
-                  Cycle emit_guard = 0);
+    void runEpoch(Cycle begin, Cycle end, WorkerPool* = nullptr);
 
     /**
      * Run one shard's tick loop over [begin, end) — the task body of
      * runEpoch, exposed so the pipelined engine can dispatch a shard
      * window to the pool and overlap it with its main phase.
      * Safe to call from any thread, one call per shard at a time.
+     * @p emit_guard is the earliest cycle a completion emitted inside
+     * this window may fire at (runEpoch: @p end; pipelined: end +
+     * window, so the overlap is assert-checked, not assumed).
      */
     void runShard(int channel, Cycle begin, Cycle end, Cycle emit_guard);
 
@@ -246,7 +243,7 @@ class MemorySystem
      * driving its epoch-aligned metrics sampler. Recording points are
      * command-/transition-synchronized and samples fire at fixed
      * stamps, so traces and series are byte-identical across
-     * threads/pipeline/skip — see obs/obs.h.
+     * threads and skip — see obs/obs.h.
      */
     void setEventRecorder(obs::EventRecorder* recorder);
 

@@ -9,8 +9,9 @@
  * in every export). Components record only at state-change points
  * (command issues, machine transitions, queue operations), never from
  * per-cycle polling paths, so the per-shard event stream — and hence
- * the merged trace — is byte-identical across threads=1/2/4,
- * pipeline=on/off and skip=on/off, exactly like the simulation result.
+ * the merged trace — is byte-identical across threads=1/2/4 (and so
+ * the alternating and pipelined schedules) and skip=on/off, exactly
+ * like the simulation result.
  *
  * The disabled path costs a single predictable branch: components hold
  * nullable EventSink / ShardMetrics pointers and test them before

@@ -128,10 +128,10 @@ makeSystemConfig(const DesignSpec& design, const ExperimentConfig& cfg)
     sys.mapping = cfg.mapping;
     sys.counter_update = cfg.counter_update;
     // Engine thread budget: the explicit per-run share, or a standalone
-    // run's full budget. The System clamps it to the useful width for
-    // the resolved engine mode (enginePoolDegree), so handing over the
-    // whole budget never oversubscribes — with the pipelined main phase
-    // even a single-channel run can use a second thread.
+    // run's full budget. The System clamps it to the useful width
+    // (enginePoolDegree), so handing over the whole budget never
+    // oversubscribes — with the pipelined main phase even a
+    // single-channel run can use a second thread.
     sys.threads = std::max(1, cfg.shard_threads > 0 ? cfg.shard_threads
                                                     : cfg.threads);
     sys.engine = cfg.engine;

@@ -108,8 +108,8 @@ struct ExperimentConfig
      * simulation results.
      */
     int shard_threads = 0;
-    /** Engine v2 switches (pipeline / skip); see
-     * sim/system.h. Autos resolve from the config, never the host. */
+    /** Engine switches (skip); see sim/system.h. Autos resolve from
+     * the config, never the host. */
     EngineOptions engine;
 
     /** QPRAC_INSTS env var, else 300000. */

@@ -79,13 +79,13 @@ const std::vector<std::string>&
 ScenarioConfig::keys()
 {
     static const std::vector<std::string> k = {
-        "source",    "mitigation",     "backend",   "psq_size",
-        "nbo",       "nmit",           "recovery",  "channels",
-        "ranks",     "mapping",        "insts",     "cores",
-        "seed",      "llc_mb",         "threads",   "baseline",
-        "r1",        "attack_cycles",  "pipeline",  "skip",
-        "subarrays", "counter-update", "cuq_depth", "trace",
-        "trace-out", "metrics-interval",
+        "source",         "mitigation", "backend",  "psq_size",
+        "nbo",            "nmit",       "recovery", "channels",
+        "ranks",          "mapping",    "insts",    "cores",
+        "seed",           "llc_mb",     "threads",  "baseline",
+        "r1",             "attack_cycles", "skip",  "subarrays",
+        "counter-update", "cuq_depth",  "trace",    "trace-out",
+        "metrics-interval",
     };
     return k;
 }
@@ -280,16 +280,14 @@ ScenarioConfig::set(const std::string& key, const std::string& value,
         metrics_interval = v;
         return true;
     }
-    if (key == "pipeline")
-        return parseEngineToggle(value, &engine.pipeline) ||
-               fail("expected auto/on/off");
     if (key == "skip")
         return parseEngineToggle(value, &engine.skip) ||
                fail("expected auto/on/off");
     // Retired engine keys, accepted so existing configs still load.
-    // Work-stealing dispatch is gone; any toggle value is ignored.
+    // Work-stealing dispatch is gone, and the schedule follows the
+    // thread budget (sim/system.h); any toggle value is ignored.
     EngineToggle retired = EngineToggle::Auto;
-    if (key == "steal")
+    if (key == "steal" || key == "pipeline")
         return parseEngineToggle(value, &retired) ||
                fail("expected auto/on/off");
     // Threaded cores are gone too; only the spellings that meant the
@@ -345,8 +343,6 @@ ScenarioConfig::get(const std::string& key) const
         return std::to_string(r1);
     if (key == "attack_cycles")
         return attack_cycles ? std::to_string(attack_cycles) : "default";
-    if (key == "pipeline")
-        return toString(engine.pipeline);
     if (key == "skip")
         return toString(engine.skip);
     if (key == "subarrays")

@@ -107,14 +107,15 @@ struct ScenarioConfig
     int threads = 0;
     bool baseline = false;    ///< also run the insecure baseline
     /**
-     * Engine v2 switches (sim/system.h), each "auto" / "on" / "off".
-     * `pipeline` overlaps the serial LLC+core phase with the previous
-     * shard window (auto = on); `skip` enables next-event cycle
-     * skipping in the shard loops (auto = on; bit-identical by the
-     * horizon contract). Neither changes results, at any thread count.
-     * The retired keys `steal` (any toggle, ignored) and `corepar`
-     * (auto/off only) are still accepted by set() so old configs load;
-     * they are no longer part of keys().
+     * Engine switches (sim/system.h). `skip` ("auto" / "on" / "off")
+     * enables next-event cycle skipping in the shard loops (auto = on;
+     * bit-identical by the horizon contract, at any thread count). The
+     * engine schedule has no key: a run with a worker pool overlaps
+     * the serial LLC+core phase with the previous shard window, one
+     * without alternates them. The retired keys `steal` and `pipeline`
+     * (any toggle, ignored) and `corepar` (auto/off only) are still
+     * accepted by set() so old configs load; they are no longer part
+     * of keys().
      */
     EngineOptions engine;
 
@@ -141,7 +142,7 @@ struct ScenarioConfig
      * Event-trace category set (obs/obs.h): "off", "all" or a comma
      * list of category names ("cmd,abo,rfm"). Like the engine keys,
      * tracing never changes results — the key is hash-excluded and the
-     * trace itself is byte-identical across threads/pipeline/skip.
+     * trace itself is byte-identical across threads and skip.
      */
     std::string trace = "off";
     /** Trace output path ("" = qprac_trace-<hash>.json beside the

@@ -35,7 +35,7 @@ const char* const kUsage =
     "in command-line order on top of --config FILE (an INI of\n"
     "key = value lines; keys: source mitigation backend psq_size nbo\n"
     "nmit recovery channels ranks mapping insts cores seed llc_mb\n"
-    "threads baseline r1 attack_cycles pipeline skip subarrays\n"
+    "threads baseline r1 attack_cycles skip subarrays\n"
     "counter-update cuq_depth trace trace-out metrics-interval).\n"
     "Sources: workload:NAME,\n"
     "trace:PATH, attack:NAME (--list-attacks shows each family's\n"
@@ -45,9 +45,10 @@ const char* const kUsage =
     "--sweep takes key=v1,v2 or key=lo:hi[:step] and runs the\n"
     "cross-product. --threads is the total budget, shared between\n"
     "sweep points and the per-channel shard engine; results are\n"
-    "bit-identical at every thread count. pipeline/skip (auto|on|off)\n"
-    "select the engine layers (pipelined main phase, next-event cycle\n"
-    "skipping; see sim/system.h).\n"
+    "bit-identical at every thread count. A run with more than one\n"
+    "thread overlaps its main phase with the shard phase (pipelined);\n"
+    "skip (auto|on|off) selects next-event cycle skipping (see\n"
+    "sim/system.h).\n"
     "Observability (result-neutral): trace=CATS enables cycle-stamped\n"
     "event tracing (CATS is all|off or a +-separated category list:\n"
     "cmd refresh abo rfm recovery psq cuq attack); trace-out=PATH names\n"
@@ -60,7 +61,7 @@ const char* const kUsage =
     "--json / --csv emit structured results.\n"
     "--cache-dir keeps one content-addressed JSON sidecar per point\n"
     "(named by the scenario hash, which excludes result-neutral keys:\n"
-    "threads/pipeline/skip/trace/trace-out/metrics-interval);\n"
+    "threads/skip/trace/trace-out/metrics-interval);\n"
     "reruns and resumed grids reuse hits\n"
     "byte-for-byte. --isolate forks one qprac_sim per sweep point so a\n"
     "crashing config becomes a recorded failed point instead of killing\n"

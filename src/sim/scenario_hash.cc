@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 
 namespace qprac::sim {
 
@@ -9,7 +10,7 @@ namespace {
 
 /**
  * Bumping this tag re-keys the whole cache; see the header contract.
- * v1: all ScenarioConfig keys except threads/pipeline/skip and the
+ * v1: all ScenarioConfig keys except threads/skip and the
  * observability keys (trace/trace-out/metrics-interval), plus a
  * constant corepar=off line after attack_cycles (the retired
  * threaded-core key, whose only surviving value is off). Excluded keys
@@ -19,6 +20,8 @@ namespace {
  * serialize only when counter-update is not inline: with inline
  * updates they cannot affect any result, and omitting them keeps every
  * pre-subarray cache entry and golden hash valid without a tag bump.
+ * Likewise insts/seed/llc_mb serialize an environment-resolved value
+ * only when the environment supplies one.
  */
 constexpr const char* kFormatTag = "qprac-scenario-v1";
 
@@ -28,6 +31,23 @@ isCounterArchKey(const std::string& key)
 {
     return key == "subarrays" || key == "counter-update" ||
            key == "cuq_depth";
+}
+
+/**
+ * The canonical value of @p key: its get() spelling, except that a
+ * harness-default sentinel the environment resolves serializes as the
+ * value ScenarioConfig::experiment() will run.
+ */
+std::string
+canonicalValue(const ScenarioConfig& cfg, const std::string& key)
+{
+    if (key == "insts" && std::getenv("QPRAC_INSTS"))
+        return std::to_string(cfg.experiment().insts_per_core);
+    if (key == "seed" && std::getenv("QPRAC_SEED"))
+        return std::to_string(cfg.experiment().seed);
+    if (key == "llc_mb" && std::getenv("QPRAC_LLC_MB"))
+        return std::to_string(cfg.experiment().llc_mb);
+    return cfg.get(key);
 }
 
 bool
@@ -57,8 +77,7 @@ const std::vector<std::string>&
 scenarioHashExcludedKeys()
 {
     static const std::vector<std::string> keys = {
-        "threads",   "pipeline",  "skip",
-        "trace",     "trace-out", "metrics-interval"};
+        "threads", "skip", "trace", "trace-out", "metrics-interval"};
     return keys;
 }
 
@@ -73,7 +92,7 @@ scenarioCanonicalKey(const ScenarioConfig& cfg)
             continue;
         out += key;
         out += '=';
-        out += cfg.get(key);
+        out += canonicalValue(cfg, key);
         out += '\n';
         if (key == "attack_cycles")
             out += "corepar=off\n"; // retired key; see the header

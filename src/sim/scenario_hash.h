@@ -7,12 +7,18 @@
  * serialization (the same canonical forms the INI round-trip pins),
  * restricted to the keys that can change simulation *results*:
  *
- *  - `threads`, `pipeline` and `skip` are excluded. The
- *    engine guarantees (and the determinism suite pins) that thread
- *    counts, the v1/v2 schedule choice and cycle skipping are
+ *  - `threads` and `skip` are excluded. The engine guarantees (and
+ *    the determinism suite pins) that thread counts — and with them
+ *    the alternating or pipelined schedule — and cycle skipping are
  *    bit-identical, so a result computed at threads=4 with the
  *    pipelined skipping engine is the same result at threads=1 on the
- *    dense alternating engine.
+ *    dense alternating engine. The retired `pipeline` key was never
+ *    serialized.
+ *  - `insts`, `seed` and `llc_mb` serialize their resolved value
+ *    while QPRAC_INSTS / QPRAC_SEED / QPRAC_LLC_MB is set, so a cached
+ *    result never outlives a change of environment and the variable
+ *    set to N hashes like the key set to N. Unset, they keep their
+ *    sentinel spellings (`default`, `0`) and every older key.
  *  - `trace`, `trace-out` and `metrics-interval` are excluded. The
  *    observability layer (src/obs) records at state-change points and
  *    never perturbs simulation state, so a traced run's result is the

@@ -39,15 +39,12 @@ toString(EngineToggle t)
 }
 
 int
-enginePoolDegree(int threads, int channels, bool pipeline)
+enginePoolDegree(int threads, int channels)
 {
-    threads = std::max(1, threads);
-    // The useful parallel width: one lane per shard, plus the caller
-    // lane when the main phase runs concurrently (pipeline) — capped by
-    // the thread budget, so a run never keeps more than `threads`
-    // threads busy.
-    const int width = pipeline ? channels + 1 : channels;
-    return std::max(1, std::min(threads, width));
+    // The useful parallel width: one lane per shard plus the caller
+    // lane running the overlapped main phase — capped by the thread
+    // budget, so a run never keeps more than `threads` threads busy.
+    return std::max(1, std::min(threads, channels + 1));
 }
 
 System::System(const SystemConfig& config, MitigationFactory mitigation,
@@ -63,25 +60,17 @@ System::System(const SystemConfig& config, MitigationFactory mitigation,
         cfg_.counter_update);
     llc_ = std::make_unique<cpu::SharedLlc>(cfg_.llc, *memory_, mapper_);
 
-    // Resolve the engine v2 switches. Every `auto` resolves from the
-    // config alone (never the host), so results are machine-portable.
-    const Cycle lookahead = memory_->epochLength();
-    const bool can_split = lookahead >= 2;
-    pipeline_ = cfg_.engine.pipeline == EngineToggle::On ||
-                (cfg_.engine.pipeline == EngineToggle::Auto && can_split);
-    if (pipeline_ && !can_split) {
-        warn("pipeline=on needs a completion lookahead >= 2; running "
-             "the alternating engine");
-        pipeline_ = false;
-    }
-    // The pipelined window: half the lookahead, so everything a shard
-    // window emits lands beyond the main window running one step ahead.
-    step_ = pipeline_ ? std::max<Cycle>(1, lookahead / 2) : lookahead;
-
-    const int degree =
-        enginePoolDegree(cfg_.threads, cfg_.org.channels, pipeline_);
-    if (degree > 1)
+    // The schedule follows the pool: pipelined with one, alternating
+    // without. The degree is a function of the thread budget and the
+    // channel count, and results are identical either way.
+    const int degree = enginePoolDegree(cfg_.threads, cfg_.org.channels);
+    if (degree > 1) {
+        // The pipelined window is half the completion lookahead; every
+        // DDR5 preset's tCL + tBL leaves at least one cycle per half.
+        QP_ASSERT(memory_->epochLength() >= 2,
+                  "pipelined engine needs a completion lookahead >= 2");
         pool_ = std::make_unique<WorkerPool>(degree);
+    }
     // Cycle skipping is bit-identical to dense ticking (the horizon
     // contract, ctrl/memory_system.h), so auto = on.
     skip_ = cfg_.engine.skip != EngineToggle::Off;
@@ -105,50 +94,48 @@ System::System(const SystemConfig& config, MitigationFactory mitigation,
 }
 
 Cycle
-System::runAlternating()
+System::runMainPhase(Cycle begin, Cycle end, bool* all_done)
 {
-    // v1 epoch-phased execution (see ctrl/memory_system.h). Each
-    // iteration runs the serial main phase over [start, epoch_end) —
-    // completions due that cycle, then LLC, then cores, mailing new
-    // requests — and then advances every shard over the same cycles,
-    // in parallel when a pool is attached. The interleaving is
-    // bit-identical to the historical one-cycle loop: submits stamped
-    // t reach their controller before its tick t+1, and every
-    // completion firing in this main phase was mailed by an earlier
-    // shard phase (the epoch length is the completion lookahead).
+    for (Cycle u = begin; u < end; ++u) {
+        memory_->deliverCompletions(u);
+        llc_->tick(u);
+        *all_done = true;
+        for (auto& core : cores_) {
+            core->tick(u);
+            *all_done = *all_done && core->done();
+        }
+        // The serial loop still ticked memory at the finish cycle; the
+        // shard window ends after it too.
+        if (*all_done)
+            return u + 1;
+    }
+    return end;
+}
+
+Cycle
+System::runAlternating(bool* all_done)
+{
+    // Epoch-phased execution without a pool (see ctrl/memory_system.h).
+    // Each iteration runs the serial main phase over [cycle, epoch_end)
+    // and then advances every shard over the same cycles on this
+    // thread. The interleaving is bit-identical to the historical
+    // one-cycle loop: submits stamped t reach their controller before
+    // its tick t+1, and every completion firing in this main phase was
+    // mailed by an earlier shard phase (the epoch length is the
+    // completion lookahead).
     const Cycle epoch = memory_->epochLength();
     Cycle cycle = 0;
-    bool all_done = false;
-    while (cycle < cfg_.max_cycles && !all_done) {
-        const Cycle epoch_end = std::min(cycle + epoch, cfg_.max_cycles);
-        Cycle shard_end = epoch_end;
-        for (Cycle u = cycle; u < epoch_end; ++u) {
-            memory_->deliverCompletions(u);
-            llc_->tick(u);
-            all_done = true;
-            for (auto& core : cores_) {
-                core->tick(u);
-                all_done = all_done && core->done();
-            }
-            if (all_done) {
-                // The serial loop still ticked memory at the finish
-                // cycle; match it, then stop.
-                shard_end = u + 1;
-                break;
-            }
-        }
-        memory_->runEpoch(cycle, shard_end, pool_.get());
+    while (cycle < cfg_.max_cycles && !*all_done) {
+        const Cycle shard_end = runMainPhase(
+            cycle, std::min(cycle + epoch, cfg_.max_cycles), all_done);
+        memory_->runEpoch(cycle, shard_end);
         cycle = shard_end;
     }
-    if (all_done)
-        --cycle; // report the cycle the last core finished on
-    else
-        warn("simulation hit max_cycles before cores finished");
     return cycle;
 }
 
 Cycle
-System::runPipelined()
+System::runPipelined(bool* all_done)
 {
     // Pipelined schedule: the serial main phase runs window k while
     // the shards execute window k-1 on the pool. With the window set
@@ -159,63 +146,36 @@ System::runPipelined()
     // schedule's. Submit mailboxes use the staged producer view
     // (common/spsc.h), so admission decisions made while a shard
     // drains concurrently stay deterministic.
-    const Cycle step = step_;
+    const Cycle step = memory_->epochLength() / 2;
     const auto nshards = static_cast<std::size_t>(memory_->channels());
     Cycle cycle = 0;
-    bool all_done = false;
-    Cycle prev_b = 0, prev_e = 0;
-    bool have_prev = false;
+    Cycle prev_b = 0, prev_e = 0; // trailing shard window; empty at first
     std::function<void(std::size_t)> shard_job;
-    while (cycle < cfg_.max_cycles && !all_done) {
-        const Cycle end = std::min(cycle + step, cfg_.max_cycles);
-        bool overlapped = false;
-        if (have_prev && pool_) {
-            const Cycle b = prev_b, e = prev_e;
+    while (cycle < cfg_.max_cycles && !*all_done) {
+        const Cycle b = prev_b, e = prev_e;
+        if (e > b) {
             shard_job = [this, b, e, step](std::size_t i) {
                 memory_->runShard(static_cast<int>(i), b, e, e + step);
             };
             pool_->dispatch(nshards, shard_job);
-            overlapped = true;
         }
-        Cycle main_end = end;
-        for (Cycle u = cycle; u < end; ++u) {
-            memory_->deliverCompletions(u);
-            llc_->tick(u);
-            all_done = true;
-            for (auto& core : cores_) {
-                core->tick(u);
-                all_done = all_done && core->done();
-            }
-            if (all_done) {
-                main_end = u + 1;
-                break;
-            }
-        }
-        if (overlapped)
+        const Cycle main_end = runMainPhase(
+            cycle, std::min(cycle + step, cfg_.max_cycles), all_done);
+        if (e > b)
             pool_->wait();
-        else if (have_prev)
-            for (std::size_t i = 0; i < nshards; ++i)
-                memory_->runShard(static_cast<int>(i), prev_b, prev_e,
-                                  prev_e + step);
         // Window barrier: shards are quiescent; refresh the staged
         // submit views from the thread that produces into them.
         memory_->syncSubmitMailboxes();
         prev_b = cycle;
         prev_e = main_end;
-        have_prev = true;
         cycle = main_end;
     }
     // Drain the trailing shard window so memory state covers every
-    // cycle the main phase executed (the serial loop ticked memory
-    // through the finish cycle too).
-    if (have_prev)
+    // cycle the main phase executed.
+    if (prev_e > prev_b)
         for (std::size_t i = 0; i < nshards; ++i)
             memory_->runShard(static_cast<int>(i), prev_b, prev_e,
                               prev_e + step);
-    if (all_done)
-        --cycle;
-    else
-        warn("simulation hit max_cycles before cores finished");
     return cycle;
 }
 
@@ -252,7 +212,13 @@ SimResult
 System::run()
 {
     const auto start = std::chrono::steady_clock::now();
-    const Cycle cycles = pipeline_ ? runPipelined() : runAlternating();
+    bool all_done = false;
+    Cycle cycles =
+        pool_ ? runPipelined(&all_done) : runAlternating(&all_done);
+    if (all_done)
+        --cycles; // report the cycle the last core finished on
+    else
+        warn("simulation hit max_cycles before cores finished");
     // Land any still-buffered ACT notifications before reading stats.
     memory_->flushMitigationActs();
     SimResult r = collectResult(cycles);

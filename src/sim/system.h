@@ -4,20 +4,17 @@
  * system (one controller + DRAM device + mitigation instance per
  * channel), advanced on a single master clock (the DRAM command clock).
  *
- * The run loop is the epoch engine's main phase. The v1 schedule
- * alternates a serial LLC+cores phase (delivering mailboxed
- * completions, mailing new requests) with a shard phase that advances
- * every channel by up to MemorySystem::epochLength() cycles — across a
- * worker pool when config.threads > 1.
- *
- * Engine v2 (EngineOptions) adds two layers on top:
- *  - pipeline: halve the window to epochLength()/2 and run the serial
- *    main phase over window k while the workers execute the shard
- *    window k-1 — the lookahead bound then still holds with a full
- *    window to spare, so CPU-side and DRAM-side simulation overlap
- *    instead of alternating. Bit-identical to the v1 schedule.
- *  - skip: next-event cycle skipping inside each shard window
- *    (ctrl/memory_system.h). Bit-identical to dense ticking.
+ * The run loop is the epoch engine's main phase: a serial LLC+cores
+ * phase (delivering mailboxed completions, mailing new requests) and a
+ * shard phase that advances every channel. The schedule follows the
+ * thread budget, never an option. Without a worker pool the phases
+ * alternate on the calling thread, MemorySystem::epochLength() cycles
+ * at a time. With one, the window halves and the main phase runs
+ * window k while the workers execute shard window k-1 (the lookahead
+ * bound still holds with a full window to spare), bit-identical to
+ * alternating. EngineOptions::skip adds next-event cycle skipping in
+ * each shard window (ctrl/memory_system.h), bit-identical to dense
+ * ticking.
  *
  * The LLC and the cores always run serially on the calling thread, in
  * core order, so the core model is the same in every mode.
@@ -51,7 +48,7 @@ namespace qprac::sim {
  */
 using MitigationFactory = ctrl::MitigationFactory;
 
-/** Tri-state switch for an engine v2 feature. */
+/** Tri-state switch for an engine feature. */
 enum class EngineToggle
 {
     Auto,
@@ -66,15 +63,12 @@ bool parseEngineToggle(const std::string& text, EngineToggle* out);
 std::string toString(EngineToggle t);
 
 /**
- * Engine v2 feature switches (see the file comment). Every resolution
- * of `auto` is a pure function of the config, never of the machine, so
+ * Engine feature switches (see the file comment). Every resolution of
+ * `auto` is a pure function of the config, never of the machine, so
  * results stay reproducible across hosts.
  */
 struct EngineOptions
 {
-    /** Pipelined main phase. Auto = on when the completion lookahead
-     * allows a two-window split (it does for every real timing). */
-    EngineToggle pipeline = EngineToggle::Auto;
     /** Next-event cycle skipping in the shard loops (ctrl/
      * memory_system.h). Auto = on: the command sequence is
      * bit-identical to dense ticking by the horizon contract, so only
@@ -83,13 +77,14 @@ struct EngineOptions
 };
 
 /**
- * Worker-pool degree (caller + workers) the engine uses for a run.
- * Never exceeds @p threads: the pipelined main phase runs on the
- * caller lane, which rejoins the pool at the window barrier, so even
- * with the overlap live a run keeps at most `threads` threads busy —
- * the invariant sweep x engine nesting relies on (innerThreadBudget).
+ * Worker-pool degree (caller + workers) the engine uses for a run:
+ * one lane per shard plus the caller lane, capped by @p threads. A
+ * degree above 1 selects the pipelined schedule, whose main phase runs
+ * on the caller lane and rejoins the pool at the window barrier, so a
+ * run keeps at most `threads` threads busy — the invariant sweep x
+ * engine nesting relies on (innerThreadBudget).
  */
-int enginePoolDegree(int threads, int channels, bool pipeline);
+int enginePoolDegree(int threads, int channels);
 
 /** System-level configuration. */
 struct SystemConfig
@@ -107,13 +102,13 @@ struct SystemConfig
     dram::CounterUpdateConfig counter_update;
     Cycle max_cycles = 500'000'000;
     /**
-     * Thread budget for the shard phase: the pool has
-     * enginePoolDegree() lanes — at most the channel count, plus the
-     * caller lane when pipelined. <= 1 runs every shard on the calling
-     * thread. Results are bit-identical at every value.
+     * Thread budget for the run: the pool has enginePoolDegree()
+     * lanes — at most the channel count plus the caller lane. A pool
+     * selects the pipelined schedule; <= 1 alternates the phases on
+     * the calling thread. Results are bit-identical at every value.
      */
     int threads = 1;
-    /** Engine v2 switches (pipeline / skip). */
+    /** Engine switches (skip). */
     EngineOptions engine;
     /**
      * Observability hub (obs/obs.h); null = tracing and metrics off.
@@ -184,15 +179,19 @@ class System
     cpu::SharedLlc& llc() { return *llc_; }
 
     /** Resolved engine state (for tests and introspection). */
-    bool pipelined() const { return pipeline_; }
+    bool pipelined() const { return pool_ != nullptr; }
     bool skipping() const { return skip_; }
     int poolDegree() const { return pool_ ? pool_->degree() : 1; }
 
   private:
-    /** v1 alternating schedule; returns the reported finish cycle. */
-    Cycle runAlternating();
-    /** Pipelined schedule (main phase one window ahead of shards). */
-    Cycle runPipelined();
+    /** Serial main phase over [begin, end): completions, LLC, cores.
+     * Returns @p end, or one past the cycle the last core finished on
+     * (then *all_done is set). */
+    Cycle runMainPhase(Cycle begin, Cycle end, bool* all_done);
+    /** The two schedules (see the file comment); each returns one
+     * past the last simulated cycle. */
+    Cycle runAlternating(bool* all_done);
+    Cycle runPipelined(bool* all_done);
     SimResult collectResult(Cycle cycles) const;
 
     SystemConfig cfg_;
@@ -202,9 +201,7 @@ class System
     std::vector<std::unique_ptr<cpu::TraceSource>> traces_;
     std::vector<std::unique_ptr<cpu::O3Core>> cores_;
     std::unique_ptr<WorkerPool> pool_; ///< null when degree would be 1
-    bool pipeline_ = false; ///< resolved cfg_.engine.pipeline
-    bool skip_ = false;     ///< resolved cfg_.engine.skip
-    Cycle step_ = 1; ///< pipelined window length
+    bool skip_ = false; ///< resolved cfg_.engine.skip
 };
 
 } // namespace qprac::sim

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -45,19 +46,6 @@ runWithThreads(ScenarioConfig cfg, int threads)
 }
 
 } // namespace
-
-TEST(Determinism, ThreadedRunsMatchSingleThreadAcrossChannelCounts)
-{
-    for (int channels : {1, 2, 4}) {
-        ScenarioConfig cfg = baseConfig(channels, "429.mcf");
-        const std::string serial = runWithThreads(cfg, 1);
-        for (int threads : {2, 4}) {
-            const std::string threaded = runWithThreads(cfg, threads);
-            EXPECT_EQ(serial, threaded)
-                << "channels=" << channels << " threads=" << threads;
-        }
-    }
-}
 
 TEST(Determinism, PerChannelStatsBitIdenticalUnderThreading)
 {
@@ -213,22 +201,19 @@ TEST(Determinism, QueuedCounterUpdatesBitIdenticalAcrossEngines)
 {
     // The per-bank write-back queues live entirely inside the owning
     // shard and advance only at command time, so queued/coalesced runs
-    // must be bit-identical across thread budgets, engine schedules
-    // and channel counts — same bar as every other subsystem.
+    // must be bit-identical across thread budgets (and so engine
+    // schedules) and channel counts — same bar as every other
+    // subsystem.
     for (const char* mode : {"queued", "coalesced"}) {
         for (int channels : {1, 2}) {
-            for (const char* pipeline : {"off", "on"}) {
-                ScenarioConfig cfg = baseConfig(channels, "429.mcf");
-                std::string err;
-                ASSERT_TRUE(cfg.set("counter-update", mode, &err)) << err;
-                ASSERT_TRUE(cfg.set("pipeline", pipeline, &err)) << err;
-                const std::string serial = runWithThreads(cfg, 1);
-                for (int threads : {2, 4})
-                    EXPECT_EQ(serial, runWithThreads(cfg, threads))
-                        << mode << " channels=" << channels
-                        << " pipeline=" << pipeline
-                        << " threads=" << threads;
-            }
+            ScenarioConfig cfg = baseConfig(channels, "429.mcf");
+            std::string err;
+            ASSERT_TRUE(cfg.set("counter-update", mode, &err)) << err;
+            const std::string serial = runWithThreads(cfg, 1);
+            for (int threads : {2, 4})
+                EXPECT_EQ(serial, runWithThreads(cfg, threads))
+                    << mode << " channels=" << channels
+                    << " threads=" << threads;
         }
     }
 }
@@ -289,44 +274,28 @@ TEST(Determinism, ThreadsKeyValidatesAndSupportsAuto)
     EXPECT_FALSE(cfg.set("threads", "5000", &err));
 }
 
-// --- Engine v2 (pipelined main phase) ---------------------------------
+// --- Engine schedules (alternating at threads=1, pipelined on a pool) --
 
 TEST(Determinism, PipelinedStealingEngineBitIdenticalToSerialV1)
 {
-    // The heart of the engine v2 contract: pipeline=on must reproduce
-    // the v1 serial engine (pipeline=off, threads=1) bit for bit, at
-    // every channel and thread count. The retired `steal` key is set
-    // both ways to pin that old configs carrying it load and that it
-    // changes nothing.
+    // The heart of the engine contract: thread count never changes a
+    // bit. The pipelined schedule (any run with a worker pool) must
+    // reproduce the serial alternating schedule (threads=1) bit for
+    // bit, at every channel count. The retired `steal` and `pipeline`
+    // keys are set both ways to pin that old configs carrying them
+    // load and that they change nothing.
     for (int channels : {1, 2, 4, 8}) {
-        ScenarioConfig v1 = baseConfig(channels, "429.mcf");
+        ScenarioConfig serial = baseConfig(channels, "429.mcf");
         std::string err;
-        ASSERT_TRUE(v1.set("pipeline", "off", &err)) << err;
-        ASSERT_TRUE(v1.set("steal", "off", &err)) << err;
-        const std::string golden = runWithThreads(v1, 1);
+        ASSERT_TRUE(serial.set("pipeline", "on", &err)) << err;
+        ASSERT_TRUE(serial.set("steal", "off", &err)) << err;
+        const std::string golden = runWithThreads(serial, 1);
 
-        ScenarioConfig v2 = baseConfig(channels, "429.mcf");
-        ASSERT_TRUE(v2.set("pipeline", "on", &err)) << err;
-        ASSERT_TRUE(v2.set("steal", "on", &err)) << err;
-        for (int threads : {1, 2, 4})
-            EXPECT_EQ(golden, runWithThreads(v2, threads))
-                << "channels=" << channels << " threads=" << threads;
-    }
-}
-
-TEST(Determinism, V1EngineStillMatchesAcrossThreadsWithStealing)
-{
-    // pipeline=off keeps the alternating schedule; the pool dispatch
-    // must not change a bit across thread counts, and the retired
-    // `steal=on` spelling is accepted and ignored.
-    for (int channels : {2, 4}) {
-        ScenarioConfig cfg = baseConfig(channels, "450.soplex");
-        std::string err;
-        ASSERT_TRUE(cfg.set("pipeline", "off", &err)) << err;
-        ASSERT_TRUE(cfg.set("steal", "on", &err)) << err;
-        const std::string serial = runWithThreads(cfg, 1);
+        ScenarioConfig pooled = baseConfig(channels, "429.mcf");
+        ASSERT_TRUE(pooled.set("pipeline", "off", &err)) << err;
+        ASSERT_TRUE(pooled.set("steal", "on", &err)) << err;
         for (int threads : {2, 4})
-            EXPECT_EQ(serial, runWithThreads(cfg, threads))
+            EXPECT_EQ(golden, runWithThreads(pooled, threads))
                 << "channels=" << channels << " threads=" << threads;
     }
 }
@@ -340,7 +309,6 @@ TEST(Determinism, PipelinedEngineDeterministicOnAlertActiveConfig)
     cfg.insts = 20'000;
     std::string err;
     ASSERT_TRUE(cfg.set("recovery", "bank-isolated", &err)) << err;
-    ASSERT_TRUE(cfg.set("pipeline", "on", &err)) << err;
     ASSERT_TRUE(cfg.set("steal", "on", &err)) << err;
     const std::string serial = runWithThreads(cfg, 1);
     for (int threads : {2, 4})
@@ -352,19 +320,20 @@ TEST(Determinism, EngineKeysValidateAndRoundTrip)
 {
     ScenarioConfig cfg;
     std::string err;
-    for (const char* key : {"pipeline", "skip"}) {
-        EXPECT_EQ(cfg.get(key), "auto") << key;
-        EXPECT_TRUE(cfg.set(key, "on", &err)) << key << ": " << err;
-        EXPECT_EQ(cfg.get(key), "on") << key;
-        EXPECT_TRUE(cfg.set(key, "off", &err)) << key << ": " << err;
-        EXPECT_EQ(cfg.get(key), "off") << key;
-        EXPECT_TRUE(cfg.set(key, "auto", &err)) << key << ": " << err;
-        EXPECT_FALSE(cfg.set(key, "maybe", &err)) << key;
-    }
+    EXPECT_EQ(cfg.get("skip"), "auto");
+    EXPECT_TRUE(cfg.set("skip", "on", &err)) << err;
+    EXPECT_EQ(cfg.get("skip"), "on");
+    EXPECT_TRUE(cfg.set("skip", "off", &err)) << err;
+    EXPECT_EQ(cfg.get("skip"), "off");
+    EXPECT_TRUE(cfg.set("skip", "auto", &err)) << err;
+    EXPECT_FALSE(cfg.set("skip", "maybe", &err));
     // Retired keys: every old spelling still loads, except
     // corepar=on, whose threaded-core mode no longer exists.
-    for (const char* value : {"auto", "on", "off", "true", "0"})
-        EXPECT_TRUE(cfg.set("steal", value, &err)) << value << ": " << err;
+    for (const char* key : {"steal", "pipeline"})
+        for (const char* value :
+             {"auto", "on", "off", "true", "false", "1", "0"})
+            EXPECT_TRUE(cfg.set(key, value, &err))
+                << key << "=" << value << ": " << err;
     for (const char* value : {"auto", "off", "false", "0"})
         EXPECT_TRUE(cfg.set("corepar", value, &err))
             << value << ": " << err;
@@ -372,24 +341,40 @@ TEST(Determinism, EngineKeysValidateAndRoundTrip)
         EXPECT_FALSE(cfg.set("corepar", value, &err)) << value;
         EXPECT_NE(err.find("removed"), std::string::npos) << err;
     }
-    EXPECT_FALSE(cfg.set("steal", "maybe", &err));
-    EXPECT_FALSE(cfg.set("corepar", "maybe", &err));
-    // INI round-trip carries the live engine keys and drops the
+    // The retired keys are not part of the key schema: no keys()
+    // entry, no sweep axis...
+    const auto& keys = ScenarioConfig::keys();
+    for (const char* key : {"steal", "pipeline", "corepar"}) {
+        EXPECT_FALSE(cfg.set(key, "maybe", &err)) << key;
+        EXPECT_EQ(std::find(keys.begin(), keys.end(), key), keys.end())
+            << key;
+    }
+    SweepSpec spec;
+    EXPECT_FALSE(spec.add("pipeline=off,on", &err));
+    EXPECT_NE(err.find("unknown config key"), std::string::npos) << err;
+    // ...the INI round-trip carries the live engine keys and drops the
     // retired ones...
-    ASSERT_TRUE(cfg.set("pipeline", "off", &err)) << err;
+    ASSERT_TRUE(cfg.set("skip", "off", &err)) << err;
     const std::string ini = cfg.toIni();
     EXPECT_EQ(ini.find("steal"), std::string::npos) << ini;
+    EXPECT_EQ(ini.find("pipeline"), std::string::npos) << ini;
     EXPECT_EQ(ini.find("corepar"), std::string::npos) << ini;
     ScenarioConfig parsed;
     ASSERT_TRUE(ScenarioConfig::fromIniText(ini, &parsed, &err)) << err;
-    EXPECT_EQ(parsed.get("pipeline"), "off");
+    EXPECT_EQ(parsed.get("skip"), "off");
     EXPECT_EQ(parsed.toIni(), ini);
     // ...while an old INI that still names them loads unchanged.
     ScenarioConfig legacy;
     ASSERT_TRUE(ScenarioConfig::fromIniText(
-        ini + "steal = on\ncorepar = off\n", &legacy, &err))
+        ini + "steal = on\npipeline = off\ncorepar = off\n", &legacy,
+        &err))
         << err;
     EXPECT_EQ(legacy.toIni(), ini);
+    // And an old INI pinning pipeline = off runs the same simulation.
+    ScenarioConfig old = baseConfig(2, "429.mcf");
+    ASSERT_TRUE(ScenarioConfig::fromIniText("pipeline=off", &old, &err));
+    EXPECT_EQ(runWithThreads(old, 2),
+              runWithThreads(baseConfig(2, "429.mcf"), 2));
 }
 
 TEST(Determinism, EnginePoolDegreeNeverExceedsThreadBudget)
@@ -401,17 +386,15 @@ TEST(Determinism, EnginePoolDegreeNeverExceedsThreadBudget)
     using sim::enginePoolDegree;
     for (int threads : {1, 2, 3, 4, 8}) {
         for (int channels : {1, 2, 4, 8}) {
-            for (bool pipeline : {false, true}) {
-                const int d = enginePoolDegree(threads, channels, pipeline);
-                EXPECT_LE(d, std::max(1, threads));
-                EXPECT_GE(d, 1);
-            }
+            const int d = enginePoolDegree(threads, channels);
+            EXPECT_LE(d, std::max(1, threads));
+            EXPECT_GE(d, 1);
         }
     }
-    // v1 shape preserved: no pipeline, degree caps at the channel count.
-    EXPECT_EQ(enginePoolDegree(8, 2, false), 2);
-    // Pipeline adds exactly the caller lane.
-    EXPECT_EQ(enginePoolDegree(8, 2, true), 3);
+    // One lane per shard plus exactly the caller lane.
+    EXPECT_EQ(enginePoolDegree(8, 2), 3);
+    // A single thread never gets a pool.
+    EXPECT_EQ(enginePoolDegree(1, 8), 1);
 }
 
 TEST(Determinism, SweepReportsEngineThroughputBesideResults)
@@ -422,7 +405,7 @@ TEST(Determinism, SweepReportsEngineThroughputBesideResults)
     base.insts = 4'000;
     SweepSpec spec;
     std::string err;
-    ASSERT_TRUE(spec.add("pipeline=off,on", &err)) << err;
+    ASSERT_TRUE(spec.add("skip=off,on", &err)) << err;
     auto points = sim::runSweep(base, spec, &err);
     ASSERT_EQ(points.size(), 2u) << err;
     for (const auto& p : points) {
@@ -434,7 +417,7 @@ TEST(Determinism, SweepReportsEngineThroughputBesideResults)
         EXPECT_EQ(p.result.resultJson().find("sim_cycles_per_sec"),
                   std::string::npos);
     }
-    // Identical simulation output, whatever the engine schedule.
+    // Identical simulation output, whether or not cycles are skipped.
     EXPECT_EQ(points[0].result.resultJson(),
               points[1].result.resultJson());
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,9 +68,9 @@ TEST(ScenarioHash, ResultNeutralKeysNeverMoveTheHash)
 {
     const ScenarioConfig base;
     const std::uint64_t h = scenarioHash(base);
-    // threads / pipeline / skip are bit-identity-guaranteed by the
-    // determinism suite, and the retired steal key is ignored, so every
-    // combination shares one cache entry.
+    // threads / skip are bit-identity-guaranteed by the determinism
+    // suite, and the retired steal and pipeline keys are ignored, so
+    // every combination shares one cache entry.
     EXPECT_EQ(scenarioHash(withSets({{"threads", "4"}})), h);
     EXPECT_EQ(scenarioHash(withSets({{"threads", "1"}})), h);
     EXPECT_EQ(scenarioHash(withSets({{"pipeline", "on"}})), h);
@@ -87,6 +88,38 @@ TEST(ScenarioHash, ResultNeutralKeysNeverMoveTheHash)
     EXPECT_EQ(key.find("pipeline="), std::string::npos) << key;
     EXPECT_EQ(key.find("steal="), std::string::npos) << key;
     EXPECT_EQ(key.find("skip="), std::string::npos) << key;
+}
+
+TEST(ScenarioHash, EnvironmentResolvedDefaultsMoveTheHash)
+{
+    // insts=default, seed=0 and llc_mb=0 resolve from QPRAC_INSTS /
+    // QPRAC_SEED / QPRAC_LLC_MB at run time, so the hash must follow
+    // the variable: a cached result never outlives an environment
+    // change, and the variable set to N hashes like the key set to N.
+    // Unset, the sentinel spelling stays (existing sidecars still hit).
+    const std::vector<std::vector<std::string>> cases = {
+        {"QPRAC_INSTS", "insts", "default"},
+        {"QPRAC_SEED", "seed", "0"},
+        {"QPRAC_LLC_MB", "llc_mb", "0"}};
+    for (const auto& c : cases) {
+        const char* var = c[0].c_str();
+        const ScenarioConfig cfg = withSets({{c[1], c[2]}});
+        unsetenv(var);
+        EXPECT_NE(scenarioCanonicalKey(cfg).find("\n" + c[1] + "=" + c[2]),
+                  std::string::npos)
+            << var;
+        const std::uint64_t unset = scenarioHash(cfg);
+        setenv(var, "2000", 1);
+        const std::uint64_t h2000 = scenarioHash(cfg);
+        setenv(var, "5000", 1);
+        const std::uint64_t h5000 = scenarioHash(cfg);
+        const std::uint64_t explicit5000 =
+            scenarioHash(withSets({{c[1], "5000"}}));
+        unsetenv(var);
+        EXPECT_NE(h2000, h5000) << var;
+        EXPECT_NE(h2000, unset) << var;
+        EXPECT_EQ(h5000, explicit5000) << var;
+    }
 }
 
 TEST(ScenarioHash, CanonicalKeyKeepsRetiredCoreparLine)

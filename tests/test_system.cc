@@ -35,6 +35,32 @@ quickCfg(std::uint64_t insts = 30'000)
 
 } // namespace
 
+TEST(SystemIntegration, PipelinedExactlyWhenThereIsAPool)
+{
+    // The engine schedule follows the thread budget, never an option:
+    // a worker pool runs the pipelined schedule, no pool alternates
+    // the phases on the calling thread — so threads=1 never pipelines.
+    DesignSpec base;
+    base.abo.enabled = false;
+    for (int channels : {1, 2, 8}) {
+        for (int threads : {1, 2, 4}) {
+            ExperimentConfig cfg = quickCfg(1'000);
+            cfg.num_cores = 1;
+            cfg.channels = channels;
+            cfg.threads = threads;
+            std::vector<std::unique_ptr<cpu::TraceSource>> traces;
+            traces.push_back(makeTrace(findWorkload("429.mcf"), 0, 1'000));
+            System system(sim::makeSystemConfig(base, cfg), base.factory,
+                          std::move(traces));
+            EXPECT_EQ(system.poolDegree(),
+                      sim::enginePoolDegree(threads, channels));
+            EXPECT_EQ(system.pipelined(), threads > 1)
+                << "threads=" << threads << " channels=" << channels;
+            EXPECT_EQ(system.pipelined(), system.poolDegree() > 1);
+        }
+    }
+}
+
 TEST(SystemIntegration, BaselineRunCompletes)
 {
     DesignSpec base;
