@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "attacks/panopticon_attacks.h"
 #include "attacks/perf_attack.h"
@@ -73,232 +75,307 @@ parseSource(const std::string& text, SourceKind* kind, std::string* name)
     return !t.empty();
 }
 
+// --- The scenario key table -------------------------------------------
+
+namespace {
+
+using Cfg = ScenarioConfig;
+
+constexpr char kDefault[] = "default";
+constexpr char kOff[] = "off";
+constexpr char kAuto[] = "auto";
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+bool
+reject(std::string* why, const char* text)
+{
+    *why = text;
+    return false;
+}
+
+template <auto F, std::uint64_t Lo, std::uint64_t Hi, bool Pow2 = false>
+bool
+number(Cfg& c, const std::string& v, std::string*)
+{
+    std::uint64_t n = 0;
+    if (!parseU64(v, &n) || n < Lo || n > Hi || (Pow2 && !isPowerOfTwo(n)))
+        return false;
+    c.*F = static_cast<std::remove_reference_t<decltype(c.*F)>>(n);
+    return true;
+}
+
+/** number(), or the sentinel Word stored as 0. The word keeps a
+ * config from silently asking for, say, a zero-length run. */
+template <auto F, const char* Word, std::uint64_t Lo, std::uint64_t Hi>
+bool
+numberOr(Cfg& c, const std::string& v, std::string* why)
+{
+    if (trimmed(v) != Word)
+        return number<F, Lo, Hi>(c, v, why);
+    c.*F = 0;
+    return true;
+}
+
+/** A name Parse accepts, stored as Name's canonical spelling. */
+template <typename E, std::string Cfg::*F,
+          bool (*Parse)(const std::string&, E*), const char* (*Name)(E)>
+bool
+named(Cfg& c, const std::string& v, std::string*)
+{
+    E e;
+    if (!Parse(trimmed(v), &e))
+        return false;
+    c.*F = Name(e);
+    return true;
+}
+
+template <auto F>
+std::string
+print(const Cfg& c)
+{
+    if constexpr (std::is_same_v<decltype(c.*F), const std::string&>)
+        return c.*F;
+    else
+        return std::to_string(c.*F);
+}
+
+template <auto F, const char* Word>
+std::string
+printOr(const Cfg& c)
+{
+    return c.*F ? std::to_string(c.*F) : Word;
+}
+
+/** A retired engine key: any toggle loads, and none has an effect. */
+bool
+ignoredToggle(Cfg&, const std::string& v, std::string*)
+{
+    EngineToggle t;
+    return parseEngineToggle(v, &t);
+}
+
+/** Inline counter updates make the counter-architecture keys pure
+ * storage layout, so the hash leaves them out. */
+bool
+inlineUpdates(const Cfg& c)
+{
+    return c.counter_update == "inline";
+}
+
+bool
+parseSourceKey(Cfg& c, const std::string& v, std::string* why)
+{
+    SourceKind kind;
+    std::string name;
+    if (!parseSource(v, &kind, &name))
+        return reject(why, "empty or malformed source");
+    if (kind == SourceKind::Workload && !hasWorkload(name))
+        return reject(why, "unknown workload");
+    if (kind == SourceKind::Attack && !ScenarioRegistry::instance().has(v))
+        return reject(why, "unknown attack family");
+    // Normalize to the canonical prefixed form.
+    c.source = strCat(kind == SourceKind::Workload    ? kWorkloadPrefix
+                      : kind == SourceKind::TraceFile ? kTracePrefix
+                                                      : kAttackPrefix,
+                      name);
+    return true;
+}
+
+// Row order is the canonical key order, which the hash depends on.
+constexpr ScenarioKey kKeyTable[] = {
+    {.name = "source", .parse = parseSourceKey, .print = print<&Cfg::source>,
+     .values = "workload:NAME, trace:PATH or attack:NAME"},
+    {.name = "mitigation",
+     .parse = [](Cfg& c, const std::string& v, std::string*) {
+         const std::string m = trimmed(v);
+         if (!mitigations::MitigationRegistry::instance().has(m))
+             return false;
+         c.mitigation = m;
+         return true;
+     },
+     .print = print<&Cfg::mitigation>, .flag = "--mitigation",
+     .values = "a design name, e.g. qprac@heap (--list-designs)"},
+    {.name = "backend",
+     .parse = [](Cfg& c, const std::string& v, std::string*) {
+         const std::string b = trimmed(v);
+         core::SqBackendKind kind;
+         if (!b.empty() && !core::parseSqBackend(b, &kind))
+             return false;
+         c.backend = b;
+         return true;
+     },
+     .print = print<&Cfg::backend>, .flag = "--backend",
+     .values = "linear, heap or coalescing (empty = default)"},
+    {.name = "psq_size", .parse = number<&Cfg::psq_size, 0, 1024>,
+     .print = print<&Cfg::psq_size>, .flag = "--psq-size",
+     .values = "an integer in [0, 1024] (0 = design default)"},
+    {.name = "nbo", .parse = number<&Cfg::nbo, 1, 1'000'000>,
+     .print = print<&Cfg::nbo>, .flag = "--nbo",
+     .values = "an integer in [1, 1000000] (Back-Off threshold)"},
+    {.name = "nmit", .parse = number<&Cfg::nmit, 1, 64>,
+     .print = print<&Cfg::nmit>, .flag = "--nmit",
+     .values = "an integer in [1, 64] (RFMs per alert)"},
+    {.name = "recovery",
+     .parse = named<ctrl::RecoveryKind, &Cfg::recovery,
+                    ctrl::parseRecoveryKind, ctrl::recoveryKindName>,
+     .print = print<&Cfg::recovery>, .flag = "--recovery",
+     .values = "channel-stall, bank-isolated or group-isolated"},
+    {.name = "channels", .parse = number<&Cfg::channels, 1, 64, true>,
+     .print = print<&Cfg::channels>, .flag = "--channels",
+     .values = "a power of two in [1, 64]"},
+    {.name = "ranks", .parse = number<&Cfg::ranks, 1, 64, true>,
+     .print = print<&Cfg::ranks>, .flag = "--ranks",
+     .values = "a power of two in [1, 64] (per channel)"},
+    {.name = "mapping",
+     .parse = named<dram::MappingScheme, &Cfg::mapping,
+                    dram::parseMappingScheme, dram::mappingSchemeName>,
+     .print = print<&Cfg::mapping>, .flag = "--mapping",
+     .values = "row-major, bank-striped or channel-striped"},
+    {.name = "insts", .parse = numberOr<&Cfg::insts, kDefault, 1, kU64Max>,
+     .print = printOr<&Cfg::insts, kDefault>, .flag = "--insts",
+     .env = "QPRAC_INSTS", .resolved = &ExperimentConfig::insts_per_core,
+     .values = "a positive integer or default (QPRAC_INSTS)"},
+    {.name = "cores", .parse = number<&Cfg::cores, 1, 1024>,
+     .print = print<&Cfg::cores>, .flag = "--cores",
+     .values = "an integer in [1, 1024]"},
+    {.name = "seed", .parse = number<&Cfg::seed, 0, kU64Max>,
+     .print = print<&Cfg::seed>, .flag = "--seed", .env = "QPRAC_SEED",
+     .resolved = &ExperimentConfig::seed,
+     .values = "a non-negative integer (extra trace-RNG seed)"},
+    {.name = "llc_mb", .parse = number<&Cfg::llc_mb, 0, 16384>,
+     .print = print<&Cfg::llc_mb>, .env = "QPRAC_LLC_MB",
+     .resolved = &ExperimentConfig::llc_mb,
+     .values = "an integer in [0, 16384] (MiB; 0 = default)"},
+    {.name = "threads", .parse = numberOr<&Cfg::threads, kAuto, 0, 4096>,
+     .print = print<&Cfg::threads>, .flag = "--threads", .neutral = true,
+     .values = "auto or an integer in [0, 4096] (0 = auto)"},
+    {.name = "baseline",
+     .parse = [](Cfg& c, const std::string& v, std::string*) {
+         return parseBool(v, &c.baseline);
+     },
+     .print = [](const Cfg& c) -> std::string {
+         return c.baseline ? "true" : "false";
+     },
+     .values = "true or false (also run the insecure baseline)"},
+    {.name = "r1", .parse = number<&Cfg::r1, 1, 10'000'000>,
+     .print = print<&Cfg::r1>,
+     .values = "an integer in [1, 10000000] (attack:wave pool)"},
+    {.name = "attack_cycles",
+     .parse = numberOr<&Cfg::attack_cycles, kDefault, 1, 2'000'000'000>,
+     .print = printOr<&Cfg::attack_cycles, kDefault>,
+     .values = "an integer in [1, 2000000000] or default"},
+    // Threaded cores were removed; only the spellings that meant the
+    // serial core model load. The hash keeps this row's constant
+    // `corepar=off` line, so older cache entries still hit.
+    {.name = "corepar",
+     .parse = [](Cfg&, const std::string& v, std::string* why) {
+         EngineToggle t;
+         return parseEngineToggle(v, &t) &&
+                (t != EngineToggle::On ||
+                 reject(why, "threaded cores (corepar=on) were removed; "
+                             "use auto or off"));
+     },
+     .print = [](const Cfg&) -> std::string { return "off"; },
+     .retired = true, .values = "auto or off"},
+    // Work-stealing dispatch is gone, and the schedule follows the
+    // thread budget (sim/system.h).
+    {.name = "steal", .parse = ignoredToggle, .neutral = true,
+     .retired = true, .values = "auto, on or off"},
+    {.name = "pipeline", .parse = ignoredToggle, .neutral = true,
+     .retired = true, .values = "auto, on or off"},
+    {.name = "skip",
+     .parse = [](Cfg& c, const std::string& v, std::string*) {
+         return parseEngineToggle(v, &c.engine.skip);
+     },
+     .print = [](const Cfg& c) { return toString(c.engine.skip); },
+     .neutral = true,
+     .values = "auto, on or off (next-event cycle skipping)"},
+    {.name = "subarrays", .parse = number<&Cfg::subarrays, 1, 1024, true>,
+     .print = print<&Cfg::subarrays>, .omit = inlineUpdates,
+     .values = "a power of two in [1, 1024] (per bank)"},
+    {.name = "counter-update",
+     .parse = named<dram::CounterUpdateMode, &Cfg::counter_update,
+                    dram::parseCounterUpdateMode,
+                    dram::counterUpdateModeName>,
+     .print = print<&Cfg::counter_update>, .omit = inlineUpdates,
+     .values = "inline, queued or coalesced"},
+    {.name = "cuq_depth", .parse = number<&Cfg::cuq_depth, 1, 4096>,
+     .print = print<&Cfg::cuq_depth>, .omit = inlineUpdates,
+     .values = "an integer in [1, 4096] (write-back queue)"},
+    {.name = "trace",
+     .parse = [](Cfg& c, const std::string& v, std::string* why) {
+         std::uint32_t mask = 0;
+         if (!obs::parseCategoryMask(trimmed(v), &mask, why))
+             return false;
+         c.trace = obs::categoryMaskToString(mask);
+         return true;
+     },
+     .print = print<&Cfg::trace>, .neutral = true,
+     .values = "off, all or a comma list, e.g. trace=cmd,abo"},
+    {.name = "trace-out",
+     .parse = [](Cfg& c, const std::string& v, std::string*) {
+         c.trace_out = trimmed(v);
+         return true;
+     },
+     .print = print<&Cfg::trace_out>, .neutral = true,
+     .values = "a path (default qprac_trace-<hash>.json)"},
+    {.name = "metrics-interval",
+     .parse = numberOr<&Cfg::metrics_interval, kOff, 1, 1'000'000'000>,
+     .print = printOr<&Cfg::metrics_interval, kOff>, .neutral = true,
+     .values = "off or a sampling period in [1, 1000000000]"},
+};
+
+const ScenarioKey*
+findKey(const std::string& name)
+{
+    for (const ScenarioKey& k : kKeyTable)
+        if (name == k.name)
+            return &k;
+    return nullptr;
+}
+
+bool
+applyKey(const ScenarioKey& k, Cfg& cfg, const std::string& value,
+         std::string* err)
+{
+    std::string why;
+    if (k.parse(cfg, value, &why))
+        return true;
+    if (err)
+        *err = strCat(k.name, "='", value, "': ",
+                      why.empty() ? strCat("expected ", k.values) : why);
+    return false;
+}
+
+} // namespace
+
+std::span<const ScenarioKey>
+scenarioKeyTable()
+{
+    return kKeyTable;
+}
+
 // --- ScenarioConfig ---------------------------------------------------
 
 const std::vector<std::string>&
 ScenarioConfig::keys()
 {
-    static const std::vector<std::string> k = {
-        "source",         "mitigation", "backend",  "psq_size",
-        "nbo",            "nmit",       "recovery", "channels",
-        "ranks",          "mapping",    "insts",    "cores",
-        "seed",           "llc_mb",     "threads",  "baseline",
-        "r1",             "attack_cycles", "skip",  "subarrays",
-        "counter-update", "cuq_depth",  "trace",    "trace-out",
-        "metrics-interval",
-    };
-    return k;
+    static const std::vector<std::string> live = [] {
+        std::vector<std::string> out;
+        for (const ScenarioKey& k : kKeyTable)
+            if (!k.retired)
+                out.push_back(k.name);
+        return out;
+    }();
+    return live;
 }
 
 bool
 ScenarioConfig::set(const std::string& key, const std::string& value,
                     std::string* err)
 {
-    auto fail = [&](const std::string& why) {
-        if (err)
-            *err = strCat(key, "='", value, "': ", why);
-        return false;
-    };
-
-    if (key == "source") {
-        SourceKind kind;
-        std::string name;
-        if (!parseSource(value, &kind, &name))
-            return fail("empty or malformed source");
-        if (kind == SourceKind::Workload && !hasWorkload(name))
-            return fail("unknown workload");
-        if (kind == SourceKind::Attack &&
-            !ScenarioRegistry::instance().has(value))
-            return fail("unknown attack family");
-        // Normalize to the canonical prefixed form.
-        switch (kind) {
-        case SourceKind::Workload:
-            source = strCat(kWorkloadPrefix, name);
-            break;
-        case SourceKind::TraceFile:
-            source = strCat(kTracePrefix, name);
-            break;
-        case SourceKind::Attack:
-            source = strCat(kAttackPrefix, name);
-            break;
-        }
-        return true;
-    }
-    if (key == "mitigation") {
-        std::string m = trimmed(value);
-        if (!mitigations::MitigationRegistry::instance().has(m))
-            return fail("unknown mitigation design (see --list-designs)");
-        mitigation = m;
-        return true;
-    }
-    if (key == "backend") {
-        std::string b = trimmed(value);
-        core::SqBackendKind kind;
-        if (!b.empty() && !core::parseSqBackend(b, &kind))
-            return fail("unknown service-queue backend");
-        backend = b;
-        return true;
-    }
-    if (key == "psq_size")
-        return parseIntInRange(value, 0, 1024, &psq_size) ||
-               fail("expected an integer in [0, 1024]");
-    if (key == "nbo")
-        return parseIntInRange(value, 1, 1'000'000, &nbo) ||
-               fail("expected an integer in [1, 1000000]");
-    if (key == "nmit")
-        return parseIntInRange(value, 1, 64, &nmit) ||
-               fail("expected an integer in [1, 64]");
-    if (key == "recovery") {
-        ctrl::RecoveryKind kind;
-        if (!ctrl::parseRecoveryKind(trimmed(value), &kind))
-            return fail("expected channel-stall, bank-isolated or "
-                        "group-isolated");
-        recovery = ctrl::recoveryKindName(kind);
-        return true;
-    }
-    if (key == "channels") {
-        int v = 0;
-        if (!parseIntInRange(value, 1, 64, &v) ||
-            !isPowerOfTwo(static_cast<std::uint64_t>(v)))
-            return fail("expected a power of two in [1, 64]");
-        channels = v;
-        return true;
-    }
-    if (key == "ranks") {
-        int v = 0;
-        if (!parseIntInRange(value, 1, 64, &v) ||
-            !isPowerOfTwo(static_cast<std::uint64_t>(v)))
-            return fail("expected a power of two in [1, 64]");
-        ranks = v;
-        return true;
-    }
-    if (key == "mapping") {
-        dram::MappingScheme scheme;
-        if (!dram::parseMappingScheme(trimmed(value), &scheme))
-            return fail("unknown mapping scheme");
-        mapping = dram::mappingSchemeName(scheme);
-        return true;
-    }
-    if (key == "insts") {
-        // 0 is the "harness default" sentinel (QPRAC_INSTS or 300000),
-        // spelled "default" so a config can't silently request a
-        // degenerate zero-instruction run.
-        if (trimmed(value) == "default") {
-            insts = 0;
-            return true;
-        }
-        std::uint64_t v = 0;
-        if (!parseU64(value, &v) || v == 0)
-            return fail("expected a positive integer or 'default'");
-        insts = v;
-        return true;
-    }
-    if (key == "cores")
-        return parseIntInRange(value, 1, 1024, &cores) ||
-               fail("expected an integer in [1, 1024]");
-    if (key == "seed")
-        return parseU64(value, &seed) ||
-               fail("expected a non-negative integer");
-    if (key == "llc_mb") {
-        std::uint64_t v = 0;
-        if (!parseU64(value, &v) || v > 16384)
-            return fail("expected an integer in [0, 16384]");
-        llc_mb = v;
-        return true;
-    }
-    if (key == "threads") {
-        // "auto" (= 0) defers to QPRAC_THREADS / hardware concurrency;
-        // an explicit N pins the total thread budget.
-        if (trimmed(value) == "auto") {
-            threads = 0;
-            return true;
-        }
-        return parseIntInRange(value, 0, 4096, &threads) ||
-               fail("expected 'auto' or an integer in [0, 4096]");
-    }
-    if (key == "baseline")
-        return parseBool(value, &baseline) ||
-               fail("expected true/false");
-    if (key == "r1")
-        return parseIntInRange(value, 1, 10'000'000, &r1) ||
-               fail("expected an integer in [1, 10000000]");
-    if (key == "attack_cycles") {
-        // 0 is the "family default" sentinel, spelled "default" like
-        // insts so a config can't silently request a zero-cycle run.
-        if (trimmed(value) == "default") {
-            attack_cycles = 0;
-            return true;
-        }
-        std::uint64_t v = 0;
-        if (!parseU64(value, &v) || v == 0 || v > 2'000'000'000)
-            return fail(
-                "expected an integer in [1, 2000000000] or 'default'");
-        attack_cycles = v;
-        return true;
-    }
-    if (key == "subarrays") {
-        int v = 0;
-        if (!parseIntInRange(value, 1, 1024, &v) ||
-            !isPowerOfTwo(static_cast<std::uint64_t>(v)))
-            return fail("expected a power of two in [1, 1024]");
-        subarrays = v;
-        return true;
-    }
-    if (key == "counter-update") {
-        dram::CounterUpdateMode mode;
-        if (!dram::parseCounterUpdateMode(trimmed(value), &mode))
-            return fail("expected inline, queued or coalesced");
-        counter_update = dram::counterUpdateModeName(mode);
-        return true;
-    }
-    if (key == "cuq_depth")
-        return parseIntInRange(value, 1, 4096, &cuq_depth) ||
-               fail("expected an integer in [1, 4096]");
-    if (key == "trace") {
-        std::uint32_t mask = 0;
-        std::string mask_err;
-        if (!obs::parseCategoryMask(trimmed(value), &mask, &mask_err))
-            return fail(mask_err);
-        trace = obs::categoryMaskToString(mask);
-        return true;
-    }
-    if (key == "trace-out") {
-        trace_out = trimmed(value);
-        return true;
-    }
-    if (key == "metrics-interval") {
-        // 0 is spelled "off" so a config can't silently request a
-        // zero-period (every-cycle) sampler.
-        if (trimmed(value) == "off") {
-            metrics_interval = 0;
-            return true;
-        }
-        std::uint64_t v = 0;
-        if (!parseU64(value, &v) || v == 0 || v > 1'000'000'000)
-            return fail("expected 'off' or a cycle count in "
-                        "[1, 1000000000]");
-        metrics_interval = v;
-        return true;
-    }
-    if (key == "skip")
-        return parseEngineToggle(value, &engine.skip) ||
-               fail("expected auto/on/off");
-    // Retired engine keys, accepted so existing configs still load.
-    // Work-stealing dispatch is gone, and the schedule follows the
-    // thread budget (sim/system.h); any toggle value is ignored.
-    EngineToggle retired = EngineToggle::Auto;
-    if (key == "steal" || key == "pipeline")
-        return parseEngineToggle(value, &retired) ||
-               fail("expected auto/on/off");
-    // Threaded cores are gone too; only the spellings that meant the
-    // serial core model remain valid.
-    if (key == "corepar") {
-        if (!parseEngineToggle(value, &retired))
-            return fail("expected auto/on/off");
-        return retired != EngineToggle::On ||
-               fail("threaded cores (corepar=on) were removed; use "
-                    "auto or off");
-    }
+    if (const ScenarioKey* k = findKey(key))
+        return applyKey(*k, *this, value, err);
     if (err)
         *err = strCat("unknown config key '", key, "'");
     return false;
@@ -307,66 +384,19 @@ ScenarioConfig::set(const std::string& key, const std::string& value,
 std::string
 ScenarioConfig::get(const std::string& key) const
 {
-    if (key == "source")
-        return source;
-    if (key == "mitigation")
-        return mitigation;
-    if (key == "backend")
-        return backend;
-    if (key == "psq_size")
-        return std::to_string(psq_size);
-    if (key == "nbo")
-        return std::to_string(nbo);
-    if (key == "nmit")
-        return std::to_string(nmit);
-    if (key == "recovery")
-        return recovery;
-    if (key == "channels")
-        return std::to_string(channels);
-    if (key == "ranks")
-        return std::to_string(ranks);
-    if (key == "mapping")
-        return mapping;
-    if (key == "insts")
-        return insts ? std::to_string(insts) : "default";
-    if (key == "cores")
-        return std::to_string(cores);
-    if (key == "seed")
-        return std::to_string(seed);
-    if (key == "llc_mb")
-        return std::to_string(llc_mb);
-    if (key == "threads")
-        return std::to_string(threads);
-    if (key == "baseline")
-        return baseline ? "true" : "false";
-    if (key == "r1")
-        return std::to_string(r1);
-    if (key == "attack_cycles")
-        return attack_cycles ? std::to_string(attack_cycles) : "default";
-    if (key == "skip")
-        return toString(engine.skip);
-    if (key == "subarrays")
-        return std::to_string(subarrays);
-    if (key == "counter-update")
-        return counter_update;
-    if (key == "cuq_depth")
-        return std::to_string(cuq_depth);
-    if (key == "trace")
-        return trace;
-    if (key == "trace-out")
-        return trace_out;
-    if (key == "metrics-interval")
-        return metrics_interval ? std::to_string(metrics_interval)
-                                : "off";
-    fatal(strCat("ScenarioConfig::get: unknown key '", key, "'"));
+    const ScenarioKey* k = findKey(key);
+    if (!k || k->retired)
+        fatal(strCat("ScenarioConfig::get: unknown key '", key, "'"));
+    return k->print(*this);
 }
 
 std::string
 ScenarioConfig::toIni() const
 {
     std::string out = "# qprac scenario\n";
-    for (const auto& key : keys())
-        out += strCat(key, " = ", get(key), "\n");
+    for (const ScenarioKey& k : kKeyTable)
+        if (!k.retired)
+            out += strCat(k.name, " = ", k.print(*this), "\n");
     return out;
 }
 
@@ -443,8 +473,8 @@ ScenarioConfig::validate(std::string* err) const
     // Benches and tests may mutate fields directly, so re-run the
     // per-key validation on every field's canonical form.
     ScenarioConfig probe;
-    for (const auto& key : keys())
-        if (!probe.set(key, get(key), err))
+    for (const ScenarioKey& k : kKeyTable)
+        if (!k.retired && !applyKey(k, probe, k.print(*this), err))
             return false;
     if (sourceKind() == SourceKind::Attack && channels != 1 &&
         !ScenarioRegistry::instance().attackSupportsChannels(

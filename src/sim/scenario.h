@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,10 +60,12 @@ bool parseSource(const std::string& text, SourceKind* kind,
                  std::string* name);
 
 /**
- * One fully-described run. Every field has a `key = value` form; see
- * keys() for the canonical order. Numeric fields are validated on
- * set() through common/parse (garbage and out-of-range values are
- * rejected with a message, never silently coerced).
+ * One fully-described run. Every field has a `key = value` form,
+ * declared once as a row of the scenario key table
+ * (scenarioKeyTable(); `qprac_sim --help` lists the rows with their
+ * accepted values). set() validates through common/parse: garbage and
+ * out-of-range values are rejected with a message, never coerced. A 0
+ * in a field documented "(0 = X)" is spelled X in configs.
  */
 struct ScenarioConfig
 {
@@ -75,11 +78,7 @@ struct ScenarioConfig
     int psq_size = 0;    ///< PSQ entries per bank (0 = design default)
     int nbo = 32;        ///< Back-Off threshold
     int nmit = 1;        ///< RFMs per alert
-    /**
-     * ALERT_n recovery blocking granularity (ctrl/recovery):
-     * "channel-stall" (QPRAC ABO, the default), "bank-isolated"
-     * (PRACtical-style) or "group-isolated" (bank-group middle point).
-     */
+    /** ALERT_n recovery blocking granularity (ctrl/recovery). */
     std::string recovery = "channel-stall";
 
     // --- geometry -----------------------------------------------------
@@ -88,81 +87,40 @@ struct ScenarioConfig
     std::string mapping = "row-major";
 
     // --- run ----------------------------------------------------------
-    /**
-     * Per-core instructions. 0 means "harness default" (QPRAC_INSTS or
-     * 300000) and serializes as the explicit string "default" — a
-     * config cannot silently request a zero-instruction run.
-     */
-    std::uint64_t insts = 0;
+    std::uint64_t insts = 0;  ///< per-core instructions (0 = default)
     int cores = 4;
     std::uint64_t seed = 0;   ///< extra trace-RNG seed (0 = base seeding)
     std::uint64_t llc_mb = 0; ///< LLC size (0 = harness default)
     /**
-     * Total thread budget for the run: sweep-level parallelism and the
-     * per-channel shard engine share it (runSweep hands each point an
-     * equal slice via innerThreadBudget, a single run spends it all on
-     * shard threading). 0 (spelled "auto" in configs) = hardware
-     * concurrency / QPRAC_THREADS. Never changes simulation results.
+     * Total thread budget (0 = auto: QPRAC_THREADS or hardware
+     * concurrency), shared between sweep points and each point's shard
+     * engine (innerThreadBudget). Never changes simulation results.
      */
     int threads = 0;
     bool baseline = false;    ///< also run the insecure baseline
-    /**
-     * Engine switches (sim/system.h). `skip` ("auto" / "on" / "off")
-     * enables next-event cycle skipping in the shard loops (auto = on;
-     * bit-identical by the horizon contract, at any thread count). The
-     * engine schedule has no key: a run with a worker pool overlaps
-     * the serial LLC+core phase with the previous shard window, one
-     * without alternates them. The retired keys `steal` and `pipeline`
-     * (any toggle, ignored) and `corepar` (auto/off only) are still
-     * accepted by set() so old configs load; they are no longer part
-     * of keys().
-     */
+    /** Engine switches (sim/system.h): `skip` only. The schedule has
+     * no key; it follows the thread budget. */
     EngineOptions engine;
 
-    // --- counter architecture ------------------------------------------
-    /**
-     * Subarrays per bank (power of two in [1, 1024]). A pure storage
-     * layout with inline updates; with queued/coalesced updates it
-     * sets the number of parallel write-back slots an ACT shadows.
-     */
+    // --- counter architecture (dram/counter_update.h) ------------------
+    /** Subarrays per bank: pure storage layout with inline updates,
+     * parallel write-back slots with queued/coalesced ones. */
     int subarrays = 64;
-    /**
-     * How ACT-driven PRAC counter updates commit physically:
-     * "inline" (paper-faithful, the RMW inside every precharge),
-     * "queued" (per-bank write-back queue, conventional tRC) or
-     * "coalesced" (queued + same-row merge). See dram/counter_update.h.
-     */
     std::string counter_update = "inline";
-    /** Per-bank counter write-back queue depth (counter-update !=
-     * inline; a full queue falls back to an inline stall). */
-    int cuq_depth = 16;
+    int cuq_depth = 16; ///< per-bank counter write-back queue depth
 
     // --- observability (result-neutral, hash-excluded) -----------------
-    /**
-     * Event-trace category set (obs/obs.h): "off", "all" or a comma
-     * list of category names ("cmd,abo,rfm"). Like the engine keys,
-     * tracing never changes results — the key is hash-excluded and the
-     * trace itself is byte-identical across threads and skip.
-     */
-    std::string trace = "off";
-    /** Trace output path ("" = qprac_trace-<hash>.json beside the
-     * run; a ".csv" suffix selects the CSV exporter). */
-    std::string trace_out;
-    /** Metrics sampling period in cycles (0, spelled "off", disables
-     * the time-series sampler and latency histograms). */
-    std::uint64_t metrics_interval = 0;
+    std::string trace = "off"; ///< event-trace category set (obs/obs.h)
+    std::string trace_out;     ///< trace path ("" = per-hash default)
+    std::uint64_t metrics_interval = 0; ///< sampling period (0 = off)
 
     // --- attack-family knobs -------------------------------------------
-    /** Wave/Feinting starting pool size (attack:wave r1). */
-    int r1 = 2000;
-    /**
-     * Cycle budget for the cycle-level attack families (attack:perf,
-     * attack:rfm-probe, attack:recovery-dos). 0 = family default,
-     * spelled "default" in configs.
-     */
+    int r1 = 2000; ///< Wave/Feinting starting pool size (attack:wave)
+    /** Cycle budget for the cycle-level attack families (perf,
+     * rfm-probe, recovery-dos); 0 = family default. */
     std::uint64_t attack_cycles = 0;
 
-    /** Canonical key order (serialization and listings). */
+    /** Canonical order of the live keys (serialization, listings). */
     static const std::vector<std::string>& keys();
 
     /**
@@ -210,6 +168,39 @@ struct ScenarioConfig
      */
     DesignSpec design() const;
 };
+
+/**
+ * One row of the scenario key table (scenario.cc): all the code knows
+ * about a key. ScenarioConfig::keys/set/get/toIni/validate, the hash
+ * (sim/scenario_hash.h), `qprac_sim --help` and its legacy flags loop
+ * over the rows, so a new key is one row plus its field.
+ */
+struct ScenarioKey
+{
+    const char* name;
+    /** Parse @p value into the field, normalized. On failure *why may
+     * say why; left empty, set() reports "expected <values>". */
+    bool (*parse)(ScenarioConfig& cfg, const std::string& value,
+                  std::string* why);
+    /** Canonical spelling (get(), toIni(), the hash); null only on
+     * retired neutral rows, which nothing prints. */
+    std::string (*print)(const ScenarioConfig& cfg) = nullptr;
+    const char* flag = nullptr; ///< legacy qprac_sim flag, or null
+    bool neutral = false; ///< result-neutral: never hashed
+    /** Hashed, but left out of the canonical key while this holds. */
+    bool (*omit)(const ScenarioConfig& cfg) = nullptr;
+    /** While this variable is set, the hash serializes the value the
+     * run resolves, `experiment().*resolved`, instead of print(). */
+    const char* env = nullptr;
+    std::uint64_t ExperimentConfig::*resolved = nullptr;
+    /** Accepted by set() so old configs load, but never listed or
+     * printed; a hashed retired row keeps its constant line. */
+    bool retired = false;
+    const char* values = ""; ///< accepted values, for --help and errors
+};
+
+/** Every key row, live and retired, in canonical order. */
+std::span<const ScenarioKey> scenarioKeyTable();
 
 /** Per-core trace sources for a workload/trace scenario. */
 std::vector<std::unique_ptr<cpu::TraceSource>>

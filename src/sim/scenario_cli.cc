@@ -19,54 +19,57 @@ namespace qprac::sim {
 namespace {
 
 const char* const kUsage =
-    "usage: qprac_sim [--workload NAME | --trace PATH] "
-    "[--mitigation NAME] [--backend NAME] [--psq-size N] "
-    "[--nbo N] [--nmit N] [--insts N] [--cores N] "
-    "[--channels N] [--ranks N] [--mapping NAME] [--seed N] "
-    "[--threads N|auto] [--recovery NAME] [--baseline] [--stats] "
-    "[--metrics] [--profile[=SECTIONS]] [--list] [--list-designs] "
-    "[--list-attacks]\n"
+    "usage: qprac_sim [--workload NAME | --trace PATH] [KEY-FLAG VALUE]...\n"
+    "                 [--baseline] [--stats] [--metrics] "
+    "[--profile[=SECTIONS]]\n"
+    "                 [--list] [--list-designs] [--list-attacks]\n"
     "                 [--config FILE] [--set key=value]... "
-    "[--sweep key=values]... [--json] [--csv PATH]\n"
-    "                 [--cache-dir PATH] [--isolate] "
-    "[--hash | --dry-run]\n"
+    "[--sweep key=values]...\n"
+    "                 [--json] [--csv PATH] [--cache-dir PATH] [--isolate]\n"
+    "                 [--hash | --dry-run]\n"
     "\n"
     "Every run is a scenario: legacy flags and --set overrides apply\n"
     "in command-line order on top of --config FILE (an INI of\n"
-    "key = value lines; keys: source mitigation backend psq_size nbo\n"
-    "nmit recovery channels ranks mapping insts cores seed llc_mb\n"
-    "threads baseline r1 attack_cycles skip subarrays\n"
-    "counter-update cuq_depth trace trace-out metrics-interval).\n"
-    "Sources: workload:NAME,\n"
+    "key = value lines; the keys are listed below, each with the\n"
+    "legacy KEY-FLAG that sets it, if any). Sources: workload:NAME,\n"
     "trace:PATH, attack:NAME (--list-attacks shows each family's\n"
-    "accepted keys). --recovery selects the ALERT_n blocking domain:\n"
-    "channel-stall (QPRAC ABO), bank-isolated (PRACtical-style) or\n"
-    "group-isolated.\n"
+    "accepted keys).\n"
     "--sweep takes key=v1,v2 or key=lo:hi[:step] and runs the\n"
     "cross-product. --threads is the total budget, shared between\n"
     "sweep points and the per-channel shard engine; results are\n"
     "bit-identical at every thread count. A run with more than one\n"
-    "thread overlaps its main phase with the shard phase (pipelined);\n"
-    "skip (auto|on|off) selects next-event cycle skipping (see\n"
-    "sim/system.h).\n"
-    "Observability (result-neutral): trace=CATS enables cycle-stamped\n"
-    "event tracing (CATS is all|off or a +-separated category list:\n"
-    "cmd refresh abo rfm recovery psq cuq attack); trace-out=PATH names\n"
-    "the Perfetto JSON (default qprac_trace-<hash>.json);\n"
-    "metrics-interval=N samples time-series every N cycles. --metrics\n"
-    "prints the metrics report (and defaults metrics-interval to 10000\n"
-    "when unset). --profile prints post-run profiling sections; pass\n"
+    "thread overlaps its main phase with the shard phase (pipelined).\n"
+    "--metrics prints the metrics report (and defaults\n"
+    "metrics-interval to 10000 when unset). trace writes Perfetto JSON\n"
+    "(categories: cmd refresh abo rfm recovery psq cuq attack).\n"
+    "--profile prints post-run profiling sections; pass\n"
     "--profile=engine,cache,wall to select a subset (--profile-engine\n"
     "is the historical alias for --profile=engine).\n"
     "--json / --csv emit structured results.\n"
     "--cache-dir keeps one content-addressed JSON sidecar per point\n"
-    "(named by the scenario hash, which excludes result-neutral keys:\n"
-    "threads/skip/trace/trace-out/metrics-interval);\n"
-    "reruns and resumed grids reuse hits\n"
+    "(named by the scenario hash, which excludes the result-neutral\n"
+    "keys marked * below); reruns and resumed grids reuse hits\n"
     "byte-for-byte. --isolate forks one qprac_sim per sweep point so a\n"
     "crashing config becomes a recorded failed point instead of killing\n"
     "the grid. --hash (alias --dry-run) prints each resolved point's\n"
     "hash and cache status without simulating.\n";
+
+/** kUsage plus the key reference, generated from the key table. */
+std::string
+usage()
+{
+    std::string out =
+        strCat(kUsage, "\nScenario keys (* = result-neutral):\n");
+    for (const ScenarioKey& k : scenarioKeyTable()) {
+        char line[160];
+        std::snprintf(line, sizeof line, "  %-17s %-12s %s\n",
+                      strCat(k.name, k.neutral ? "*" : "").c_str(),
+                      k.flag ? k.flag : "", k.values);
+        if (!k.retired)
+            out += line;
+    }
+    return out;
+}
 
 std::string
 listEverything()
@@ -649,7 +652,7 @@ runQpracSimCli(const std::vector<std::string>& args, std::string* out,
     auto usageError = [&](const std::string& msg) {
         if (!msg.empty())
             *err += msg + "\n";
-        *err += kUsage;
+        *err += usage();
         return 2;
     };
 
@@ -665,19 +668,10 @@ runQpracSimCli(const std::vector<std::string>& args, std::string* out,
             return true;
         };
         // Legacy value flags that map 1:1 onto a scenario key.
-        static const std::pair<const char*, const char*> kFlagKeys[] = {
-            {"--mitigation", "mitigation"}, {"--backend", "backend"},
-            {"--psq-size", "psq_size"},     {"--nbo", "nbo"},
-            {"--nmit", "nmit"},             {"--insts", "insts"},
-            {"--cores", "cores"},           {"--channels", "channels"},
-            {"--ranks", "ranks"},           {"--mapping", "mapping"},
-            {"--seed", "seed"},             {"--threads", "threads"},
-            {"--recovery", "recovery"},
-        };
         const char* mapped_key = nullptr;
-        for (const auto& [flag, key] : kFlagKeys)
-            if (arg == flag)
-                mapped_key = key;
+        for (const ScenarioKey& k : scenarioKeyTable())
+            if (k.flag && arg == k.flag)
+                mapped_key = k.name;
         std::string v;
         if (mapped_key) {
             if (!need(arg.c_str(), &v))
@@ -751,7 +745,7 @@ runQpracSimCli(const std::vector<std::string>& args, std::string* out,
             *out += listAttacks();
             return 0;
         } else if (arg == "--help" || arg == "-h") {
-            *out += kUsage;
+            *out += usage();
             return 0;
         } else {
             return usageError(strCat("unknown argument '", arg, "'"));

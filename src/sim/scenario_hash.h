@@ -5,37 +5,26 @@
  *
  * A scenario's hash is a 64-bit FNV-1a over its canonical key=value
  * serialization (the same canonical forms the INI round-trip pins),
- * restricted to the keys that can change simulation *results*:
+ * restricted to the keys that can change simulation *results*. Each
+ * row of the key table (scenarioKeyTable(), sim/scenario.h) declares
+ * its hash role:
  *
- *  - `threads` and `skip` are excluded. The engine guarantees (and
- *    the determinism suite pins) that thread counts — and with them
- *    the alternating or pipelined schedule — and cycle skipping are
- *    bit-identical, so a result computed at threads=4 with the
- *    pipelined skipping engine is the same result at threads=1 on the
- *    dense alternating engine. The retired `pipeline` key was never
- *    serialized.
- *  - `insts`, `seed` and `llc_mb` serialize their resolved value
- *    while QPRAC_INSTS / QPRAC_SEED / QPRAC_LLC_MB is set, so a cached
- *    result never outlives a change of environment and the variable
- *    set to N hashes like the key set to N. Unset, they keep their
- *    sentinel spellings (`default`, `0`) and every older key.
- *  - `trace`, `trace-out` and `metrics-interval` are excluded. The
- *    observability layer (src/obs) records at state-change points and
- *    never perturbs simulation state, so a traced run's result is the
- *    untraced run's result.
- *  - A constant `corepar=off` line follows `attack_cycles`. It is
- *    the fixed remnant of the retired threaded-core key (always off
- *    now), kept so every canonical key, golden hash and cache sidecar
- *    written before the key was retired stays valid.
- *  - The counter-architecture keys (`subarrays`, `counter-update`,
- *    `cuq_depth`) are hashed, but serialize only when `counter-update`
- *    is not `inline`: inline updates make them result-neutral storage
- *    layout, and omitting them keeps every pre-subarray cache entry
- *    valid (an inline config hashes exactly as it did before the keys
- *    existed).
- *  - Timing observations (SweepPointResult::wall_ms /
- *    sim_cycles_per_sec) are outputs, not config, and never reach the
- *    hash or the cached result document.
+ *  - `neutral` rows are excluded: the determinism suite pins thread
+ *    counts (and the schedule they pick) and cycle skipping as
+ *    bit-identical, and tracing never perturbs simulation state.
+ *  - Rows with an `env` variable (QPRAC_INSTS / QPRAC_SEED /
+ *    QPRAC_LLC_MB) serialize the resolved value while it is set, so a
+ *    cached result never outlives a change of environment and the
+ *    variable set to N hashes like the key set to N. Unset, they keep
+ *    their sentinel spellings (`default`, `0`) and every older key.
+ *  - The retired `corepar` row keeps a constant `corepar=off` line
+ *    after `attack_cycles`, so every canonical key, golden hash and
+ *    sidecar written before threaded cores were removed stays valid.
+ *  - `omit` rows serialize only while their predicate is false: the
+ *    counter-architecture keys are storage layout under inline
+ *    updates, so an inline config hashes as it did before they existed.
+ *  - Timing observations (wall_ms, sim_cycles_per_sec) are outputs,
+ *    not config, and never reach the hash or the cached result.
  *
  * The serialization starts with a format tag, so any future change to
  * the canonical form bumps every hash at once instead of silently
@@ -54,7 +43,7 @@
 
 namespace qprac::sim {
 
-/** ScenarioConfig::keys() minus the result-neutral engine keys. */
+/** ScenarioConfig::keys() minus the result-neutral keys. */
 const std::vector<std::string>& scenarioHashedKeys();
 
 /** The excluded (result-neutral) keys, for listings. */

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/json.h"
@@ -311,6 +312,17 @@ TEST(ScenarioRegistryTest, ExposesWorkloadsAndAttacks)
     }
     EXPECT_EQ(workloads, 57);
     EXPECT_EQ(attacks, 7);
+}
+
+TEST(ScenarioRegistryTest, AttackFamilyKeysAreSchemaKeys)
+{
+    // Each family's accepted-key list is written by hand beside its
+    // runner, outside the key table: every entry must name a live key.
+    const auto& keys = ScenarioConfig::keys();
+    for (const auto& s : ScenarioRegistry::instance().sources())
+        for (const auto& key : s.keys)
+            EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
+                << s.name << " lists unknown key '" << key << "'";
 }
 
 TEST(ScenarioRegistryTest, RunsSystemScenario)

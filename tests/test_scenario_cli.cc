@@ -11,11 +11,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "common/json.h"
+#include "sim/scenario.h"
 #include "sim/scenario_cli.h"
 
 using qprac::sim::runQpracSimCli;
+using qprac::sim::ScenarioConfig;
 
 namespace {
 
@@ -409,4 +412,57 @@ TEST(QpracSimCli, CachedSweepJsonMarksHitsAndCountsThem)
     };
     EXPECT_EQ(results_only(cold), results_only(warm));
     EXPECT_EQ(results_only(cold).size(), 2u);
+}
+
+TEST(QpracSimCli, HelpNamesEveryKeyAndItsTraceExampleParses)
+{
+    const std::string help = run({"--help"});
+    for (const auto& key : ScenarioConfig::keys())
+        EXPECT_TRUE(help.find("\n  " + key + " ") != std::string::npos ||
+                    help.find("\n  " + key + "*") != std::string::npos)
+            << key << " missing from --help:\n" << help;
+    // The trace row's example is a value the trace key accepts, on
+    // the config surface and on the command line.
+    const std::size_t at = help.find("e.g. trace=");
+    ASSERT_NE(at, std::string::npos) << help;
+    const std::size_t start = at + std::string("e.g. trace=").size();
+    const std::string example =
+        help.substr(start, help.find_first_of(" \n", start) - start);
+    ScenarioConfig cfg;
+    std::string err;
+    EXPECT_TRUE(cfg.set("trace", example, &err)) << example << ": " << err;
+    run({"--set", "trace=" + example, "--hash"});
+}
+
+TEST(QpracSimCli, LegacyFlagsHashLikeTheirSetForm)
+{
+    clearHarnessEnv();
+    // One non-default value per legacy flag in the key table; the map
+    // must cover exactly the flagged rows, so a new flag cannot skip.
+    const std::map<std::string, std::string> values = {
+        {"mitigation", "moat"}, {"backend", "heap"},
+        {"psq_size", "3"},      {"nbo", "16"},
+        {"nmit", "2"},          {"recovery", "bank-isolated"},
+        {"channels", "2"},      {"ranks", "1"},
+        {"mapping", "channel-striped"},
+        {"insts", "12345"},     {"cores", "3"},
+        {"seed", "7"},          {"threads", "3"}};
+    const std::string base = run({"--hash"});
+    std::size_t flagged = 0;
+    for (const auto& k : qprac::sim::scenarioKeyTable()) {
+        if (!k.flag)
+            continue;
+        ++flagged;
+        const auto it = values.find(k.name);
+        ASSERT_NE(it, values.end()) << k.flag << " has no test value";
+        const std::string by_flag = run({k.flag, it->second, "--hash"});
+        EXPECT_EQ(by_flag,
+                  run({"--set", std::string(k.name) + "=" + it->second,
+                       "--hash"}))
+            << k.flag;
+        if (!k.neutral) {
+            EXPECT_NE(by_flag, base) << k.flag << " did not move the hash";
+        }
+    }
+    EXPECT_EQ(flagged, values.size());
 }

@@ -224,6 +224,97 @@ TEST(ScenarioHash, CounterUpdateKeysMoveTheHashOnlyWhenQueued)
     EXPECT_EQ(scenarioHash(withSets({{"cuq_depth", "32"}})), base);
 }
 
+std::vector<std::string>
+sorted(std::vector<std::string> v)
+{
+    std::sort(v.begin(), v.end());
+    return v;
+}
+
+/** A small alert-active system point and a recovery attack point. */
+std::vector<ScenarioConfig>
+propertyPoints()
+{
+    return {withSets({{"source", "workload:429.mcf"},
+                      {"insts", "3000"},
+                      {"cores", "1"},
+                      {"channels", "2"},
+                      {"mapping", "channel-striped"},
+                      {"nbo", "8"},
+                      {"threads", "1"}}),
+            withSets({{"source", "attack:rfm-probe"},
+                      {"attack_cycles", "20000"},
+                      {"nbo", "8"},
+                      {"recovery", "bank-isolated"},
+                      {"threads", "1"}})};
+}
+
+std::string
+resultOf(const ScenarioConfig& cfg)
+{
+    return qprac::sim::runScenario(cfg).resultJson();
+}
+
+TEST(ScenarioHash, NeutralRowsLeaveResultsByteIdentical)
+{
+    // The hash drops the neutral rows on the claim that they never
+    // change a result; check the claim itself. trace-out comes before
+    // trace so the trace lands in the test's temp directory.
+    const std::vector<std::pair<std::string, std::string>> neutral = {
+        {"threads", "2"},
+        {"steal", "on"},
+        {"pipeline", "on"},
+        {"skip", "off"},
+        {"trace-out", testing::TempDir() + "neutral_trace.json"},
+        {"trace", "all"},
+        {"metrics-interval", "500"}};
+    std::vector<std::string> table, covered;
+    for (const auto& k : qprac::sim::scenarioKeyTable())
+        if (k.neutral)
+            table.push_back(k.name);
+    for (const auto& [key, value] : neutral)
+        covered.push_back(key);
+    ASSERT_EQ(sorted(covered), sorted(table))
+        << "every neutral row needs a value here";
+
+    for (ScenarioConfig cfg : propertyPoints()) {
+        const std::string ref = resultOf(cfg);
+        // Cumulative, so a key that breaks the claim fails at its step.
+        for (const auto& [key, value] : neutral) {
+            std::string err;
+            ASSERT_TRUE(cfg.set(key, value, &err)) << err;
+            EXPECT_EQ(resultOf(cfg), ref)
+                << key << "=" << value << " moved " << cfg.source;
+        }
+    }
+}
+
+TEST(ScenarioHash, OmittedCounterArchKeysLeaveInlineResultsByteIdentical)
+{
+    // Under counter-update=inline the hash omits the other
+    // counter-architecture rows; flipping them must not move a result.
+    const std::vector<std::pair<std::string, std::string>> flips = {
+        {"subarrays", "128"}, {"cuq_depth", "4"}};
+    std::vector<std::string> table, covered;
+    for (const auto& k : qprac::sim::scenarioKeyTable())
+        if (k.omit && std::string(k.name) != "counter-update")
+            table.push_back(k.name);
+    for (const auto& [key, value] : flips)
+        covered.push_back(key);
+    ASSERT_EQ(sorted(covered), sorted(table));
+
+    for (ScenarioConfig cfg : propertyPoints()) {
+        ASSERT_EQ(cfg.counter_update, "inline");
+        const std::string ref = resultOf(cfg);
+        for (const auto& [key, value] : flips) {
+            std::string err;
+            ASSERT_TRUE(cfg.set(key, value, &err)) << err;
+            EXPECT_EQ(resultOf(cfg), ref)
+                << key << "=" << value << " moved " << cfg.source;
+        }
+    }
+}
+
 constexpr const char* kGoldenQueued = "4845a83ddb7af038";
 constexpr const char* kGoldenCoalesced = "f9a6d1e988409a9f";
 

@@ -8,26 +8,15 @@
  * all funnel into the same ScenarioConfig; results come back through
  * the structured emission layer (tables, `--json`, `--csv`).
  *
+ * `qprac_sim --help` lists every scenario key with its accepted values
+ * and the legacy flag (`--psq-size N`, `--nbo N`, ...) that sets it.
+ * The other options:
+ *
  *   qprac_sim [options]
  *     --workload NAME      synthetic workload (default 429.mcf); see
  *                          --list for all 57
  *     --trace PATH         trace file instead of a synthetic workload
  *                          ("<bubbles> <load_addr> [<store_addr>]")
- *     --mitigation NAME    any registry design name, optionally with a
- *                          QPRAC backend suffix, e.g. qprac@heap
- *                          (default qprac+proactive-ea); see
- *                          --list-designs
- *     --backend NAME       QPRAC service-queue backend: linear | heap |
- *                          coalescing (default linear)
- *     --psq-size N         PSQ entries per bank (default 5)
- *     --nbo N              Back-Off threshold (default 32)
- *     --nmit N             RFMs per alert, 1/2/4 (default 1)
- *     --insts N            instructions per core (default 400000)
- *     --cores N            number of cores (default 4)
- *     --channels N         independent DRAM channels (default 1)
- *     --ranks N            ranks per channel (default 2)
- *     --mapping NAME       row-major | bank-striped | channel-striped
- *     --seed N             extra trace-RNG seed (default 0)
  *     --baseline           also run the insecure baseline
  *     --stats              dump the full stat set
  *     --config FILE        load a scenario config file first
