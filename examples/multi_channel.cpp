@@ -4,16 +4,16 @@
  * channel gets its own memory controller, ABO engine and QPRAC
  * instance, all constructed from one registry spec.
  *
- *   $ ./multi_channel [workload] [channels] [threads]
+ *   $ ./multi_channel [workload] [channels]
  *
  * What this demonstrates:
  *   1. one MitigationRegistry spec -> N independent per-channel
  *      mitigation instances (the factory runs once per channel);
  *   2. channel-aware address mapping (channel-striped lines);
- *   3. per-channel stats (chK.* prefixes) next to the aggregate view;
- *   4. the deterministic epoch engine: with threads > 1 the channel
- *      shards tick on a worker pool, and the run is bit-identical to
- *      the single-threaded one (the example verifies this).
+ *   3. per-channel stats (chK.* prefixes) next to the aggregate view.
+ *
+ * The run executes on the calling thread; to use more cores, run
+ * independent points side by side (sim::runSweep, runComparison).
  */
 #include <cstdio>
 #include <cstdlib>
@@ -35,11 +35,6 @@ main(int argc, char** argv)
         std::fprintf(stderr,
                      "channels must be a power of two >= 1, got '%s'\n",
                      argv[2]);
-        return 2;
-    }
-    int threads = argc > 3 ? std::atoi(argv[3]) : channels;
-    if (threads < 1) {
-        std::fprintf(stderr, "threads must be >= 1, got '%s'\n", argv[3]);
         return 2;
     }
 
@@ -65,30 +60,13 @@ main(int argc, char** argv)
     design.abo.enabled = true;
     design.factory = factory;
 
-    cfg.threads = threads;
-    sim::SystemConfig sys = sim::makeSystemConfig(design, cfg);
-    auto make_traces = [&] {
-        std::vector<std::unique_ptr<cpu::TraceSource>> traces;
-        for (int c = 0; c < cfg.num_cores; ++c)
-            traces.push_back(sim::makeTrace(workload, c,
-                                            cfg.insts_per_core, cfg.seed));
-        return traces;
-    };
-    sim::System system(sys, design.factory, make_traces());
+    std::vector<std::unique_ptr<cpu::TraceSource>> traces;
+    for (int c = 0; c < cfg.num_cores; ++c)
+        traces.push_back(
+            sim::makeTrace(workload, c, cfg.insts_per_core, cfg.seed));
+    sim::System system(sim::makeSystemConfig(design, cfg), design.factory,
+                       std::move(traces));
     sim::SimResult r = system.run();
-
-    if (sys.threads > 1) {
-        // The engine's determinism guarantee, demonstrated: the same
-        // scenario on one thread produces bit-identical output.
-        sim::SystemConfig serial = sys;
-        serial.threads = 1;
-        sim::System ref(serial, design.factory, make_traces());
-        sim::SimResult sr = ref.run();
-        std::printf("threads=%d vs threads=1: %s\n\n", sys.threads,
-                    r.toJson() == sr.toJson()
-                        ? "bit-identical results"
-                        : "DIVERGED (this is a bug)");
-    }
 
     std::printf("%s over %d channel(s), channel-striped mapping:\n\n",
                 workload.name.c_str(), channels);

@@ -37,22 +37,12 @@ parallelFor(std::size_t count, int threads,
         t.join();
 }
 
-int
-innerThreadBudget(int total, std::size_t outer)
-{
-    if (total <= 1 || outer <= 1)
-        return std::max(1, total);
-    return std::max<int>(
-        1, total / static_cast<int>(std::min<std::size_t>(
-               outer, static_cast<std::size_t>(total))));
-}
-
 namespace {
 
 /**
- * Spin budget before falling back to the condvar. Epochs arrive
- * back-to-back mid-simulation, so the fast path is "the next dispatch
- * lands while we're still spinning".
+ * Spin budget before falling back to the condvar. Callers issue run()
+ * back-to-back, so the fast path is "the next dispatch lands while
+ * we're still spinning".
  */
 constexpr int kSpinIters = 8192;
 
@@ -130,21 +120,9 @@ void
 WorkerPool::run(std::size_t count,
                 const std::function<void(std::size_t)>& fn)
 {
-    dispatch(count, fn);
-    wait();
-}
-
-void
-WorkerPool::dispatch(std::size_t count,
-                     const std::function<void(std::size_t)>& fn)
-{
-    QP_ASSERT(!pending_, "WorkerPool::dispatch while one is pending");
     if (count == 0)
         return;
     if (workers_.empty()) {
-        // No lanes to overlap with: run inline. The caller's serial
-        // phase then simply follows instead of interleaving — the
-        // engine's phase separation makes the two orders equivalent.
         for (std::size_t i = 0; i < count; ++i)
             fn(i);
         return;
@@ -152,24 +130,15 @@ WorkerPool::dispatch(std::size_t count,
     {
         std::lock_guard<std::mutex> lock(mutex_);
         QP_ASSERT(active_.load(std::memory_order_acquire) == 0,
-                  "WorkerPool dispatch is not reentrant");
+                  "WorkerPool::run is not reentrant");
         job_ = &fn;
         count_ = count;
         next_.store(0, std::memory_order_relaxed);
         active_.store(static_cast<int>(workers_.size()),
                       std::memory_order_release);
         generation_.fetch_add(1, std::memory_order_acq_rel);
-        pending_ = true;
     }
     wake_.notify_all();
-}
-
-void
-WorkerPool::wait()
-{
-    if (!pending_)
-        return;
-    pending_ = false;
     workChunk(); // the caller is one lane of the pool
     for (int spin = 0; spin < kSpinIters; ++spin) {
         if (active_.load(std::memory_order_acquire) == 0) {

@@ -1,10 +1,9 @@
 /**
  * @file
- * Shared threading runtime: the one parallelFor every layer uses
- * (sweep points, workload comparisons, shard epochs), a persistent
- * worker pool for the per-shard execution engine, and the thread-budget
- * helper that keeps nested parallelism (sweep x shard) from
- * oversubscribing the machine.
+ * Shared threading runtime: the one parallelFor every fan-out uses
+ * (sweep points, workload comparisons, bench drivers) and a persistent
+ * barrier pool. Parallelism lives across independent simulation
+ * points only; one System run always executes on its calling thread.
  */
 #ifndef QPRAC_COMMON_PARALLEL_H
 #define QPRAC_COMMON_PARALLEL_H
@@ -33,24 +32,17 @@ void parallelFor(std::size_t count, int threads,
                  const std::function<void(std::size_t)>& fn);
 
 /**
- * Threads each of @p outer concurrent tasks may use so the nesting
- * stays within a @p total budget: max(1, total / outer). Used to
- * compose sweep-level parallelism with per-run shard threading —
- * `--sweep` over 8 points with a budget of 8 gives every point 1 shard
- * thread; a single 4-channel run with the same budget gets 4.
- */
-int innerThreadBudget(int total, std::size_t outer);
-
-/**
- * Persistent worker pool for the epoch engine: N-way parallelism with
- * the calling thread participating, so a pool of degree N spawns N-1
- * workers once and reuses them for every epoch. run() dispatches
- * fn(0..count-1) and returns only after every index completed (a full
- * barrier — the engine's phase separation relies on it).
+ * Persistent worker pool: N-way parallelism with the calling thread
+ * participating, so a pool of degree N spawns N-1 workers once and
+ * reuses them for every run() call. run() dispatches fn(0..count-1)
+ * and returns only after every index completed (a full barrier).
+ * The simulator itself never builds one (a System run is
+ * single-threaded); perfbench's traced loop keeps it to time per-shard
+ * barriers.
  *
  * Workers spin briefly on the dispatch generation before sleeping, so
- * back-to-back epochs (the common case mid-simulation) hand off in
- * nanoseconds instead of a condvar round trip.
+ * back-to-back run() calls hand off in nanoseconds instead of a
+ * condvar round trip.
  */
 class WorkerPool
 {
@@ -70,25 +62,6 @@ class WorkerPool
      */
     void run(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-    /**
-     * Asynchronous half of run(): publish the job to the workers and
-     * return immediately so the caller can overlap its own (serial)
-     * work — the pipelined engine's main phase. @p fn must stay alive
-     * until the matching wait() returns. With no workers (degree 1)
-     * the job runs inline here; overlap is impossible anyway and the
-     * operation order is equivalent (see sim/system.cc). Exactly one
-     * wait() must follow every dispatch().
-     */
-    void dispatch(std::size_t count,
-                  const std::function<void(std::size_t)>& fn);
-
-    /**
-     * Complete a dispatch(): the caller joins as a lane (helping drain
-     * remaining indices), then blocks until every index finished.
-     * No-op when nothing is pending.
-     */
-    void wait();
-
   private:
     void workerLoop();
     void workChunk();
@@ -99,7 +72,6 @@ class WorkerPool
     std::condition_variable done_;
     const std::function<void(std::size_t)>* job_ = nullptr;
     std::size_t count_ = 0;
-    bool pending_ = false; ///< a dispatch() awaits its wait()
     std::atomic<std::size_t> next_{0};
     std::atomic<std::uint64_t> generation_{0};
     std::atomic<int> active_{0};

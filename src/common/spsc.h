@@ -1,24 +1,15 @@
 /**
  * @file
  * Bounded single-producer/single-consumer ring — the mailbox primitive
- * of the per-shard threaded execution engine (see ctrl/memory_system.h).
+ * of the epoch engine (see ctrl/memory_system.h).
  *
  * One thread may push, one thread may pop/peek; the two sides never
  * need a lock. Indices are monotonically increasing counters published
  * with release stores and read with acquire loads, so an entry's
  * payload is fully visible to the consumer before the entry becomes
- * poppable. The shard engine additionally alternates producer and
- * consumer phases behind a barrier, but the ring is correct under true
- * concurrency as well (and is tested that way under ThreadSanitizer).
- *
- * The *staged* producer view (pushStaged/syncProducer) exists for the
- * pipelined engine, where producer and consumer phases genuinely
- * overlap: pushStaged() admits against the consumer position last
- * observed at syncProducer(), so whether a push reports "full" is a
- * deterministic function of the barrier schedule and never of how far
- * a concurrently-running consumer happened to get. When the phases
- * alternate (the alternating schedule and MemorySystem::step), a barrier
- * precedes every producer phase and pushStaged() is exactly push().
+ * poppable. The engine alternates producer and consumer phases on one
+ * thread, but the ring is correct under true concurrency as well (and
+ * is tested that way under ThreadSanitizer).
  *
  * FIFO order is the contract the engine's determinism proof leans on:
  * entries pop in exactly the order they were pushed.
@@ -60,32 +51,6 @@ class SpscRing
         slots_[tail & mask_] = std::move(value);
         tail_.store(tail + 1, std::memory_order_release);
         return true;
-    }
-
-    /**
-     * Producer side, staged view: like push(), but admission tests
-     * against the consumer cursor captured by the last syncProducer()
-     * call instead of the live one — push-full results stay
-     * deterministic while a consumer drains concurrently. May report
-     * full when the live ring has space; never the reverse.
-     */
-    bool pushStaged(T&& value)
-    {
-        const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        if (tail - staged_head_ >= slots_.size())
-            return false;
-        slots_[tail & mask_] = std::move(value);
-        tail_.store(tail + 1, std::memory_order_release);
-        return true;
-    }
-
-    /**
-     * Producer side: refresh the staged consumer view. Call only at a
-     * barrier (no consumer mid-pop); typically once per engine phase.
-     */
-    void syncProducer()
-    {
-        staged_head_ = head_.load(std::memory_order_acquire);
     }
 
     /** Consumer side: oldest entry, or nullptr when empty. */
@@ -135,8 +100,6 @@ class SpscRing
   private:
     std::vector<T> slots_;
     std::size_t mask_ = 0;
-    /** Producer-private copy of head_, refreshed by syncProducer(). */
-    std::size_t staged_head_ = 0;
     alignas(64) std::atomic<std::size_t> head_{0}; ///< consumer cursor
     alignas(64) std::atomic<std::size_t> tail_{0}; ///< producer cursor
 };

@@ -186,10 +186,8 @@ MemorySystem::submitRead(Addr addr, const dram::DecodedAddr& dec,
                          std::function<void(Cycle)> on_complete,
                          Cycle now)
 {
-    // Staged pushes keep full/not-full deterministic while the
-    // pipelined engine's shards drain these rings concurrently.
     bool ok = shard(dec.channel)
-                  .read_in->pushStaged(
+                  .read_in->push(
                       {addr, dec, source, now, std::move(on_complete)});
     QP_ASSERT(ok, "read mailbox overflow (MSHR file larger than the "
                   "mailbox capacity?)");
@@ -200,16 +198,7 @@ MemorySystem::submitWrite(Addr addr, const dram::DecodedAddr& dec,
                           int source, Cycle now)
 {
     return shard(dec.channel)
-        .write_in->pushStaged({addr, dec, source, now, {}});
-}
-
-void
-MemorySystem::syncSubmitMailboxes()
-{
-    for (auto& s : shards_) {
-        s.read_in->syncProducer();
-        s.write_in->syncProducer();
-    }
+        .write_in->push({addr, dec, source, now, {}});
 }
 
 void
@@ -329,10 +318,10 @@ MemorySystem::runShard(int channel, Cycle begin, Cycle end,
     // Next-event loop: after each tick the controller advertises the
     // earliest cycle it could act again (nextEventAt, a conservative
     // bound), and the loop jumps straight there. Two clamps keep the
-    // jump sound against external input: the staged submit heads (a
-    // submit stamped t must be ingested before tick t+1 — within this
-    // window the staged producer view is fixed, and heads only advance
-    // at ticks we execute) and the window end (the LLC interacts at
+    // jump sound against external input: the submit mailbox heads (a
+    // submit stamped t must be ingested before tick t+1 — nothing is
+    // mailed while the window runs, and heads only advance at ticks we
+    // execute) and the window end (the LLC interacts at
     // window boundaries; the persisted wake_at survives into the next
     // window). Everything else the controller can do is, by the
     // horizon contract, not before wake_at — so the skipped cycles are
@@ -380,10 +369,6 @@ MemorySystem::runEpoch(Cycle begin, Cycle end, WorkerPool*)
     QP_ASSERT(end > begin, "empty epoch");
     QP_ASSERT(end - begin <= epoch_,
               "epoch longer than the completion lookahead");
-    // Alternating-phase callers push between runEpoch calls; syncing
-    // here (producer thread, shards quiescent) makes the staged submit
-    // view identical to the live head.
-    syncSubmitMailboxes();
     for (std::size_t i = 0; i < shards_.size(); ++i)
         runShard(static_cast<int>(i), begin, end, end);
 }

@@ -19,8 +19,7 @@
  * read completions flow out (emitted at CAS-issue time, stamped with
  * the data-return cycle). That decoupling lets shards execute a whole
  * *epoch* of cycles at a time — runEpoch(begin, end) — with no access
- * to LLC/core state, so the shard loops can fan out across a worker
- * pool. Determinism is by construction, not by luck:
+ * to LLC/core state. Determinism is by construction, not by luck:
  *
  *  - A submit stamped t is ingested by its shard before the shard's
  *    tick t+1 — exactly when the serial loop's controller first saw a
@@ -34,13 +33,13 @@
  *    shard order (deliverCompletions), matching the serial per-cycle
  *    channel-0..N-1 iteration.
  *
- * The same machinery executes single-threaded (a null/degree-1 pool);
- * thread count only changes which OS thread runs a shard's loop, never
- * the sequence of operations — so threads=N runs are bit-identical to
- * threads=1, and both reproduce the pre-engine serial goldens.
+ * Every phase runs on the calling thread, so the operation sequence is
+ * a function of the config alone and reproduces the pre-engine serial
+ * goldens. Parallelism lives one level up, across independent
+ * simulation points (runSweep, runComparison).
  *
- * Every run steps through that one shard loop. The System engines
- * call runEpoch directly; drivers with no LLC (the attack drivers,
+ * Every run steps through that one shard loop. System's epoch loop
+ * calls runEpoch directly; drivers with no LLC (the attack drivers,
  * unit-test fixtures) enqueue directly and advance with step(), which
  * picks the next cycle the driver could observe a change and runs the
  * shards up to it.
@@ -127,6 +126,8 @@ struct SkipStats
 
     /** Accumulate another shard's counters. */
     void add(const SkipStats& o);
+
+    bool operator==(const SkipStats&) const = default;
 };
 
 /** N-channel sharded memory system. */
@@ -207,30 +208,24 @@ class MemorySystem
      * Run every shard's tick loop over [begin, end) — at most
      * epochLength() cycles — ingesting mailboxed submits stamped
      * before each cycle and emitting completions to the outboxes.
-     * Shards run serially on the calling thread; the WorkerPool* is
-     * ignored (kept for three-argument callers). A completion emitted
-     * inside the window may fire no earlier than @p end (asserted).
+     * Shards run serially on the calling thread. The WorkerPool*
+     * is ignored; it stays for perfbench's three-argument call. A
+     * completion emitted inside the window may fire no earlier than
+     * @p end (asserted).
      */
     void runEpoch(Cycle begin, Cycle end, WorkerPool* = nullptr);
 
     /**
      * Run one shard's tick loop over [begin, end) — the task body of
-     * runEpoch, exposed so the pipelined engine can dispatch a shard
-     * window to the pool and overlap it with its main phase.
-     * Safe to call from any thread, one call per shard at a time.
-     * @p emit_guard is the earliest cycle a completion emitted inside
-     * this window may fire at (runEpoch: @p end; pipelined: end +
-     * window, so the overlap is assert-checked, not assumed).
+     * runEpoch. Safe to call from any thread, one call per shard at a
+     * time. @p emit_guard is the earliest cycle a completion emitted
+     * inside this window may fire at; runEpoch passes @p end. The
+     * four-argument form stays for perfbench's traced loop.
      */
     void runShard(int channel, Cycle begin, Cycle end, Cycle emit_guard);
 
-    /**
-     * Refresh every shard's submit-mailbox staged producer view
-     * (common/spsc.h). The pipelined engine calls this at each window
-     * barrier (shard consumers quiescent) from the submitting thread;
-     * runEpoch (and so step) syncs on entry.
-     */
-    void syncSubmitMailboxes();
+    /** No-op; stays for perfbench's traced loop, which calls it. */
+    void syncSubmitMailboxes() {}
 
     /** Land buffered ACT notifications on every channel's mitigation. */
     void flushMitigationActs() const;
@@ -242,8 +237,8 @@ class MemorySystem
      * refresh, per-bank recovery) and mitigation, and the shard starts
      * driving its epoch-aligned metrics sampler. Recording points are
      * command-/transition-synchronized and samples fire at fixed
-     * stamps, so traces and series are byte-identical across
-     * threads and skip — see obs/obs.h.
+     * stamps, so traces and series are byte-identical with skip on
+     * and off — see obs/obs.h.
      */
     void setEventRecorder(obs::EventRecorder* recorder);
 
@@ -252,8 +247,8 @@ class MemorySystem
      * Enable/disable horizon-bounded jumps in runShard. With skipping
      * on, each shard asks its controller for an event horizon
      * (MemoryController::nextEventAt) after every tick and bulk-skips
-     * the dead cycles up to it, clamped by the staged submit mailbox
-     * heads (a submit stamped t is ingested before tick t+1) and the
+     * the dead cycles up to it, clamped by the submit mailbox heads
+     * (a submit stamped t is ingested before tick t+1) and the
      * window end. The observable command sequence is bit-identical to
      * dense ticking — the horizon is a conservative bound and every
      * external input lands on a wake — so results, goldens and
@@ -332,7 +327,7 @@ class MemorySystem
     /** Fire every sample scheduled at or before @p limit. */
     void sampleUpTo(Shard& s, Cycle limit);
 
-    /** Earliest cycle a staged submit could be ingested (head stamps
+    /** Earliest cycle a mailboxed submit could be ingested (head stamps
      * + 1), kNeverCycle when both inbound mailboxes are empty. */
     Cycle mailboxWakeAt(Shard& s) const;
 

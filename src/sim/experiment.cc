@@ -127,13 +127,7 @@ makeSystemConfig(const DesignSpec& design, const ExperimentConfig& cfg)
     sys.org.ranks = cfg.ranks;
     sys.mapping = cfg.mapping;
     sys.counter_update = cfg.counter_update;
-    // Engine thread budget: the explicit per-run share, or a standalone
-    // run's full budget. The System clamps it to the useful width
-    // (enginePoolDegree), so handing over the whole budget never
-    // oversubscribes — with the pipelined main phase even a
-    // single-channel run can use a second thread.
-    sys.threads = std::max(1, cfg.shard_threads > 0 ? cfg.shard_threads
-                                                    : cfg.threads);
+    sys.threads = std::max(1, cfg.threads); // read by perfbench only
     sys.engine = cfg.engine;
     return sys;
 }
@@ -183,15 +177,6 @@ runComparison(const std::vector<Workload>& workloads,
                                         ? std::string("prac")
                                         : designs.front().baseline_key;
 
-    // Budget the nesting: workloads fan out across cfg.threads workers
-    // and each concurrent run gets an equal share for shard threading,
-    // so workloads x shards never oversubscribes the machine.
-    ExperimentConfig run_cfg = cfg;
-    run_cfg.shard_threads = innerThreadBudget(
-        cfg.threads, std::min<std::size_t>(
-                         workloads.size(),
-                         static_cast<std::size_t>(std::max(1, cfg.threads))));
-
     std::vector<WorkloadRow> rows(workloads.size());
     parallelFor(workloads.size(), cfg.threads, [&](std::size_t i) {
         const Workload& wl = workloads[i];
@@ -200,13 +185,13 @@ runComparison(const std::vector<Workload>& workloads,
         row.suite = wl.suite;
         std::map<std::string, SimResult> base_results;
         for (const auto& [key, base] : baselines)
-            base_results.emplace(key, runOne(wl, base, run_cfg));
+            base_results.emplace(key, runOne(wl, base, cfg));
         row.baseline = base_results.at(primary_key);
         row.base_rbmpki = row.baseline.rbmpki;
         for (const auto& d : designs) {
             DesignResult dr;
             dr.label = d.label;
-            dr.sim = runOne(wl, d, run_cfg);
+            dr.sim = runOne(wl, d, cfg);
             double base_ipc = base_results.at(d.baseline_key).ipc_sum;
             dr.norm_perf =
                 base_ipc > 0 ? dr.sim.ipc_sum / base_ipc : 0.0;

@@ -69,6 +69,8 @@ struct ExperimentConfig
 {
     std::uint64_t insts_per_core = defaultInstsPerCore();
     int num_cores = 4;
+    /** Fan-out budget: how many workloads runComparison (and points
+     * runSweep) simulate side by side. Each run uses one thread. */
     int threads = defaultThreads();
     /**
      * Memory geometry. The paper evaluates one DDR5 channel (Table II);
@@ -98,16 +100,6 @@ struct ExperimentConfig
      * same value always reproduces it (no env vars required).
      */
     std::uint64_t seed = defaultSeed();
-    /**
-     * Worker threads for the per-channel shard engine inside one
-     * System run. 0 = auto: min(channels, threads), i.e. a standalone
-     * run spends its whole budget on shard parallelism. Harness layers
-     * that already parallelize across runs (runComparison, runSweep)
-     * set this to their per-run share via innerThreadBudget() so the
-     * nesting never oversubscribes. Thread counts never change
-     * simulation results.
-     */
-    int shard_threads = 0;
     /** Engine switches (skip); see sim/system.h. Autos resolve from
      * the config, never the host. */
     EngineOptions engine;

@@ -22,7 +22,7 @@
  * both wrote the same bytes, rename picks one — and a reader never
  * observes a half-written file.
  *
- * Because the hash excludes thread/engine-schedule keys and the result
+ * Because the hash excludes the thread and engine keys and the result
  * document excludes wall-clock timing, a cache hit is byte-identical
  * to re-running the point (the determinism suite is the oracle): the
  * cache is a pure speedup. runSweep() consults it per point, which is

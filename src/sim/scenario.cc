@@ -277,8 +277,8 @@ constexpr ScenarioKey kKeyTable[] = {
      },
      .print = [](const Cfg&) -> std::string { return "off"; },
      .retired = true, .values = "auto or off"},
-    // Work-stealing dispatch is gone, and the schedule follows the
-    // thread budget (sim/system.h).
+    // Work-stealing dispatch and the pipelined schedule are gone; a
+    // run has one schedule (sim/system.h).
     {.name = "steal", .parse = ignoredToggle, .neutral = true,
      .retired = true, .values = "auto, on or off"},
     {.name = "pipeline", .parse = ignoredToggle, .neutral = true,
@@ -1013,7 +1013,7 @@ ScenarioRegistry::attackSupportsChannels(const std::string& name) const
 }
 
 ScenarioResult
-ScenarioRegistry::run(const ScenarioConfig& cfg, int thread_budget) const
+ScenarioRegistry::run(const ScenarioConfig& cfg) const
 {
     std::string err;
     if (!cfg.validate(&err))
@@ -1078,9 +1078,7 @@ ScenarioRegistry::run(const ScenarioConfig& cfg, int thread_budget) const
         return res;
     }
 
-    ExperimentConfig ecfg = cfg.experiment();
-    if (thread_budget > 0)
-        ecfg.threads = thread_budget;
+    const ExperimentConfig ecfg = cfg.experiment();
     DesignSpec d = cfg.design();
     {
         SystemConfig sys = makeSystemConfig(d, ecfg);
@@ -1114,9 +1112,9 @@ ScenarioRegistry::run(const ScenarioConfig& cfg, int thread_budget) const
 }
 
 ScenarioResult
-runScenario(const ScenarioConfig& cfg, int thread_budget)
+runScenario(const ScenarioConfig& cfg)
 {
-    return ScenarioRegistry::instance().run(cfg, thread_budget);
+    return ScenarioRegistry::instance().run(cfg);
 }
 
 // --- Sweeps -----------------------------------------------------------
@@ -1275,18 +1273,12 @@ namespace {
  */
 bool
 runIsolatedPoint(const ScenarioConfig& cfg, const std::string& exe,
-                 int inner_threads, ScenarioResult* out,
-                 std::string* err)
+                 ScenarioResult* out, std::string* err)
 {
     std::vector<std::string> args;
     for (const auto& key : ScenarioConfig::keys()) {
-        std::string value = cfg.get(key);
-        // The child gets this point's shard-thread share; the key is
-        // result-neutral by the determinism contract.
-        if (key == "threads")
-            value = std::to_string(inner_threads);
         args.push_back("--set");
-        args.push_back(strCat(key, "=", value));
+        args.push_back(strCat(key, "=", cfg.get(key)));
     }
     args.push_back("--json");
 
@@ -1386,14 +1378,6 @@ runSweep(const ScenarioConfig& base, const SweepSpec& spec,
 
     const int threads =
         base.threads ? base.threads : ExperimentConfig::defaultThreads();
-    // Sweep x shard thread budgeting: the points fan out across the
-    // whole budget and each concurrently-running point gets an equal
-    // slice for its shard engine.
-    const int inner = innerThreadBudget(
-        threads,
-        std::min<std::size_t>(results.size(),
-                              static_cast<std::size_t>(
-                                  std::max(1, threads))));
     parallelFor(results.size(), threads, [&](std::size_t i) {
         if (!runnable[i])
             return;
@@ -1413,8 +1397,8 @@ runSweep(const ScenarioConfig& base, const SweepSpec& spec,
         }
         if (options.isolate) {
             std::string point_err;
-            if (!runIsolatedPoint(configs[i], exe, inner,
-                                  &results[i].result, &point_err)) {
+            if (!runIsolatedPoint(configs[i], exe, &results[i].result,
+                                  &point_err)) {
                 results[i].failed = true;
                 results[i].error = std::move(point_err);
                 results[i].result = ScenarioResult{};
@@ -1422,7 +1406,7 @@ runSweep(const ScenarioConfig& base, const SweepSpec& spec,
                 return;
             }
         } else {
-            results[i].result = runScenario(configs[i], inner);
+            results[i].result = runScenario(configs[i]);
         }
         results[i].wall_ms = elapsedMs();
         if (!results[i].result.is_attack && results[i].wall_ms > 0.0)

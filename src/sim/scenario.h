@@ -92,14 +92,14 @@ struct ScenarioConfig
     std::uint64_t seed = 0;   ///< extra trace-RNG seed (0 = base seeding)
     std::uint64_t llc_mb = 0; ///< LLC size (0 = harness default)
     /**
-     * Total thread budget (0 = auto: QPRAC_THREADS or hardware
-     * concurrency), shared between sweep points and each point's shard
-     * engine (innerThreadBudget). Never changes simulation results.
+     * Sweep fan-out budget (0 = auto: QPRAC_THREADS or hardware
+     * concurrency): how many points run side by side. Each point runs
+     * on one thread, so the key never changes simulation results.
      */
     int threads = 0;
     bool baseline = false;    ///< also run the insecure baseline
-    /** Engine switches (sim/system.h): `skip` only. The schedule has
-     * no key; it follows the thread budget. */
+    /** Engine switches (sim/system.h): `skip` only. There is one
+     * schedule, so it has no key. */
     EngineOptions engine;
 
     // --- counter architecture (dram/counter_update.h) ------------------
@@ -327,15 +327,9 @@ class ScenarioRegistry
     /** True when attack @p name models multiple channels. */
     bool attackSupportsChannels(const std::string& name) const;
 
-    /**
-     * Run any scenario; fatal() on unresolvable sources.
-     * @p thread_budget caps the run's threading (shard engine +
-     * baseline run); 0 resolves from cfg.threads. Sweep runners pass
-     * their per-point share here so cfg stays untouched in emitted
-     * results.
-     */
-    ScenarioResult run(const ScenarioConfig& cfg,
-                       int thread_budget = 0) const;
+    /** Run any scenario on the calling thread; fatal() on
+     * unresolvable sources. */
+    ScenarioResult run(const ScenarioConfig& cfg) const;
 
   private:
     ScenarioRegistry();
@@ -351,9 +345,8 @@ class ScenarioRegistry
     std::map<std::string, AttackEntry> attacks_;
 };
 
-/** ScenarioRegistry::instance().run(cfg, thread_budget). */
-ScenarioResult runScenario(const ScenarioConfig& cfg,
-                           int thread_budget = 0);
+/** ScenarioRegistry::instance().run(cfg). */
+ScenarioResult runScenario(const ScenarioConfig& cfg);
 
 /** One sweep axis: a config key and its value list. */
 struct SweepAxis
@@ -464,10 +457,9 @@ struct SweepCounters
 
 /**
  * Run the sweep cross-product over @p base in parallel; results are in
- * enumerate() order regardless of execution interleaving. The
- * base.threads budget (0 = hardware concurrency) is split between
- * point-level fan-out and each point's shard engine via
- * innerThreadBudget, so sweep x shard nesting cannot oversubscribe.
+ * enumerate() order regardless of execution interleaving. Up to
+ * base.threads points (0 = hardware concurrency) run side by side,
+ * each on one thread.
  * Returns an empty vector with *err set when an override is invalid.
  */
 std::vector<SweepPointResult> runSweep(const ScenarioConfig& base,

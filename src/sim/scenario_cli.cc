@@ -35,10 +35,9 @@ const char* const kUsage =
     "trace:PATH, attack:NAME (--list-attacks shows each family's\n"
     "accepted keys).\n"
     "--sweep takes key=v1,v2 or key=lo:hi[:step] and runs the\n"
-    "cross-product. --threads is the total budget, shared between\n"
-    "sweep points and the per-channel shard engine; results are\n"
-    "bit-identical at every thread count. A run with more than one\n"
-    "thread overlaps its main phase with the shard phase (pipelined).\n"
+    "cross-product. --threads is the sweep fan-out budget: how many\n"
+    "points run side by side. Each point runs on one thread, so\n"
+    "results are bit-identical at every thread count.\n"
     "--metrics prints the metrics report (and defaults\n"
     "metrics-interval to 10000 when unset). trace writes Perfetto JSON\n"
     "(categories: cmd refresh abo rfm recovery psq cuq attack).\n"

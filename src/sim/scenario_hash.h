@@ -10,8 +10,8 @@
  * its hash role:
  *
  *  - `neutral` rows are excluded: the determinism suite pins thread
- *    counts (and the schedule they pick) and cycle skipping as
- *    bit-identical, and tracing never perturbs simulation state.
+ *    budgets and cycle skipping as bit-identical, and tracing never
+ *    perturbs simulation state.
  *  - Rows with an `env` variable (QPRAC_INSTS / QPRAC_SEED /
  *    QPRAC_LLC_MB) serialize the resolved value while it is set, so a
  *    cached result never outlives a change of environment and the

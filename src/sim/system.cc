@@ -38,15 +38,6 @@ toString(EngineToggle t)
     return "auto";
 }
 
-int
-enginePoolDegree(int threads, int channels)
-{
-    // The useful parallel width: one lane per shard plus the caller
-    // lane running the overlapped main phase — capped by the thread
-    // budget, so a run never keeps more than `threads` threads busy.
-    return std::max(1, std::min(threads, channels + 1));
-}
-
 System::System(const SystemConfig& config, MitigationFactory mitigation,
                std::vector<std::unique_ptr<cpu::TraceSource>> traces)
     : cfg_(config),
@@ -60,17 +51,6 @@ System::System(const SystemConfig& config, MitigationFactory mitigation,
         cfg_.counter_update);
     llc_ = std::make_unique<cpu::SharedLlc>(cfg_.llc, *memory_, mapper_);
 
-    // The schedule follows the pool: pipelined with one, alternating
-    // without. The degree is a function of the thread budget and the
-    // channel count, and results are identical either way.
-    const int degree = enginePoolDegree(cfg_.threads, cfg_.org.channels);
-    if (degree > 1) {
-        // The pipelined window is half the completion lookahead; every
-        // DDR5 preset's tCL + tBL leaves at least one cycle per half.
-        QP_ASSERT(memory_->epochLength() >= 2,
-                  "pipelined engine needs a completion lookahead >= 2");
-        pool_ = std::make_unique<WorkerPool>(degree);
-    }
     // Cycle skipping is bit-identical to dense ticking (the horizon
     // contract, ctrl/memory_system.h), so auto = on.
     skip_ = cfg_.engine.skip != EngineToggle::Off;
@@ -115,8 +95,8 @@ System::runMainPhase(Cycle begin, Cycle end, bool* all_done)
 Cycle
 System::runAlternating(bool* all_done)
 {
-    // Epoch-phased execution without a pool (see ctrl/memory_system.h).
-    // Each iteration runs the serial main phase over [cycle, epoch_end)
+    // Epoch-phased execution (see ctrl/memory_system.h). Each
+    // iteration runs the serial main phase over [cycle, epoch_end)
     // and then advances every shard over the same cycles on this
     // thread. The interleaving is bit-identical to the historical
     // one-cycle loop: submits stamped t reach their controller before
@@ -131,51 +111,6 @@ System::runAlternating(bool* all_done)
         memory_->runEpoch(cycle, shard_end);
         cycle = shard_end;
     }
-    return cycle;
-}
-
-Cycle
-System::runPipelined(bool* all_done)
-{
-    // Pipelined schedule: the serial main phase runs window k while
-    // the shards execute window k-1 on the pool. With the window set
-    // to half the completion lookahead, anything a shard emits while
-    // executing window k-1 fires at or after window k+1 — so the
-    // overlapped main phase never races a completion it could observe,
-    // and the operation order per domain is exactly the alternating
-    // schedule's. Submit mailboxes use the staged producer view
-    // (common/spsc.h), so admission decisions made while a shard
-    // drains concurrently stay deterministic.
-    const Cycle step = memory_->epochLength() / 2;
-    const auto nshards = static_cast<std::size_t>(memory_->channels());
-    Cycle cycle = 0;
-    Cycle prev_b = 0, prev_e = 0; // trailing shard window; empty at first
-    std::function<void(std::size_t)> shard_job;
-    while (cycle < cfg_.max_cycles && !*all_done) {
-        const Cycle b = prev_b, e = prev_e;
-        if (e > b) {
-            shard_job = [this, b, e, step](std::size_t i) {
-                memory_->runShard(static_cast<int>(i), b, e, e + step);
-            };
-            pool_->dispatch(nshards, shard_job);
-        }
-        const Cycle main_end = runMainPhase(
-            cycle, std::min(cycle + step, cfg_.max_cycles), all_done);
-        if (e > b)
-            pool_->wait();
-        // Window barrier: shards are quiescent; refresh the staged
-        // submit views from the thread that produces into them.
-        memory_->syncSubmitMailboxes();
-        prev_b = cycle;
-        prev_e = main_end;
-        cycle = main_end;
-    }
-    // Drain the trailing shard window so memory state covers every
-    // cycle the main phase executed.
-    if (prev_e > prev_b)
-        for (std::size_t i = 0; i < nshards; ++i)
-            memory_->runShard(static_cast<int>(i), prev_b, prev_e,
-                              prev_e + step);
     return cycle;
 }
 
@@ -213,8 +148,7 @@ System::run()
 {
     const auto start = std::chrono::steady_clock::now();
     bool all_done = false;
-    Cycle cycles =
-        pool_ ? runPipelined(&all_done) : runAlternating(&all_done);
+    Cycle cycles = runAlternating(&all_done);
     if (all_done)
         --cycles; // report the cycle the last core finished on
     else
@@ -241,7 +175,7 @@ std::string
 SimResult::toJson() const
 {
     // wall_ms / simCyclesPerSec() are deliberately absent: this
-    // document is compared bit-for-bit across thread counts and engine
+    // document is compared bit-for-bit across thread budgets and engine
     // modes (tests/test_determinism.cc); timing lives beside it in
     // SweepPointResult and the bench emitters.
     JsonWriter w;

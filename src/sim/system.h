@@ -4,23 +4,15 @@
  * system (one controller + DRAM device + mitigation instance per
  * channel), advanced on a single master clock (the DRAM command clock).
  *
- * The run loop is the epoch engine's main phase: a serial LLC+cores
- * phase (delivering mailboxed completions, mailing new requests) and a
- * shard phase that advances every channel. The schedule follows the
- * thread budget, never an option. Without a worker pool the phases
- * alternate on the calling thread, MemorySystem::epochLength() cycles
- * at a time. With one, the window halves and the main phase runs
- * window k while the workers execute shard window k-1 (the lookahead
- * bound still holds with a full window to spare), bit-identical to
- * alternating. EngineOptions::skip adds next-event cycle skipping in
- * each shard window (ctrl/memory_system.h), bit-identical to dense
- * ticking.
- *
- * The LLC and the cores always run serially on the calling thread, in
- * core order, so the core model is the same in every mode.
- *
- * Thread count never changes results in any mode; see
- * ctrl/memory_system.h for the determinism argument.
+ * The run loop is the epoch engine: a serial main phase (delivering
+ * mailboxed completions, ticking the LLC and the cores in core order,
+ * mailing new requests) alternating on the calling thread with a shard
+ * phase that advances every channel over the same
+ * MemorySystem::epochLength() cycles. There is one schedule and a run
+ * uses one thread; parallelism belongs to the sweep and comparison
+ * layers, which run independent points side by side.
+ * EngineOptions::skip adds next-event cycle skipping in each shard
+ * window (ctrl/memory_system.h), bit-identical to dense ticking.
  */
 #ifndef QPRAC_SIM_SYSTEM_H
 #define QPRAC_SIM_SYSTEM_H
@@ -29,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/stats.h"
 #include "cpu/core.h"
 #include "cpu/llc.h"
@@ -76,16 +67,6 @@ struct EngineOptions
     EngineToggle skip = EngineToggle::Auto;
 };
 
-/**
- * Worker-pool degree (caller + workers) the engine uses for a run:
- * one lane per shard plus the caller lane, capped by @p threads. A
- * degree above 1 selects the pipelined schedule, whose main phase runs
- * on the caller lane and rejoins the pool at the window barrier, so a
- * run keeps at most `threads` threads busy — the invariant sweep x
- * engine nesting relies on (innerThreadBudget).
- */
-int enginePoolDegree(int threads, int channels);
-
 /** System-level configuration. */
 struct SystemConfig
 {
@@ -101,12 +82,8 @@ struct SystemConfig
      * The inline default is bit-identical to the pre-subarray system. */
     dram::CounterUpdateConfig counter_update;
     Cycle max_cycles = 500'000'000;
-    /**
-     * Thread budget for the run: the pool has enginePoolDegree()
-     * lanes — at most the channel count plus the caller lane. A pool
-     * selects the pipelined schedule; <= 1 alternates the phases on
-     * the calling thread. Results are bit-identical at every value.
-     */
+    /** Ignored by System, which always runs on the calling thread;
+     * stays because perfbench's traced loop reads it. */
     int threads = 1;
     /** Engine switches (skip). */
     EngineOptions engine;
@@ -132,7 +109,7 @@ struct SimResult
     /**
      * Wall-clock time of the run. Machine noise, so deliberately kept
      * out of toJson()/stats: result documents are compared bit-for-bit
-     * across thread counts and engine modes. Benches and sweeps read
+     * across thread budgets and engine modes. Benches and sweeps read
      * it (and simCyclesPerSec()) for the throughput trajectory.
      */
     double wall_ms = 0.0;
@@ -143,8 +120,8 @@ struct SimResult
 
     /**
      * Cycle-skipping efficiency counters (ctrl::SkipStats). Like
-     * wall_ms these depend on the engine configuration (skip mode,
-     * window lengths), not on the simulated machine, so they are kept
+     * wall_ms these depend on the engine configuration (the skip
+     * mode), not on the simulated machine, so they are kept
      * out of toJson()/stats; sweeps emit them beside the result and
      * `qprac_sim --profile-engine` prints them.
      */
@@ -179,19 +156,16 @@ class System
     cpu::SharedLlc& llc() { return *llc_; }
 
     /** Resolved engine state (for tests and introspection). */
-    bool pipelined() const { return pool_ != nullptr; }
     bool skipping() const { return skip_; }
-    int poolDegree() const { return pool_ ? pool_->degree() : 1; }
 
   private:
     /** Serial main phase over [begin, end): completions, LLC, cores.
      * Returns @p end, or one past the cycle the last core finished on
      * (then *all_done is set). */
     Cycle runMainPhase(Cycle begin, Cycle end, bool* all_done);
-    /** The two schedules (see the file comment); each returns one
-     * past the last simulated cycle. */
+    /** The epoch loop (see the file comment); returns one past the
+     * last simulated cycle. */
     Cycle runAlternating(bool* all_done);
-    Cycle runPipelined(bool* all_done);
     SimResult collectResult(Cycle cycles) const;
 
     SystemConfig cfg_;
@@ -200,7 +174,6 @@ class System
     std::unique_ptr<cpu::SharedLlc> llc_;
     std::vector<std::unique_ptr<cpu::TraceSource>> traces_;
     std::vector<std::unique_ptr<cpu::O3Core>> cores_;
-    std::unique_ptr<WorkerPool> pool_; ///< null when degree would be 1
     bool skip_ = false; ///< resolved cfg_.engine.skip
 };
 

@@ -272,8 +272,8 @@ TEST(CounterUpdateSim, InlineIsBitIdenticalAndExportsNoQueueStats)
     std::string err;
     ASSERT_TRUE(spelled.set("subarrays", "128", &err)) << err;
     ASSERT_TRUE(spelled.set("cuq_depth", "64", &err)) << err;
-    const std::string a = sim::runScenario(plain, 1).resultJson();
-    const std::string b = sim::runScenario(spelled, 1).resultJson();
+    const std::string a = sim::runScenario(plain).resultJson();
+    const std::string b = sim::runScenario(spelled).resultJson();
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.find("counter_update"), std::string::npos)
         << "inline result document polluted with queue stats";
@@ -283,7 +283,7 @@ TEST(CounterUpdateSim, QueuedLedgerConservesEveryActIncrement)
 {
     for (const char* mode : {"queued", "coalesced"}) {
         ScenarioConfig cfg = simConfig(mode);
-        ScenarioResult res = sim::runScenario(cfg, 1);
+        ScenarioResult res = sim::runScenario(cfg);
         const auto& st = res.sim.stats;
         const auto stat = [&](const char* key) {
             return static_cast<std::uint64_t>(
@@ -312,8 +312,8 @@ TEST(CounterUpdateSim, QueuedRecoversRowCycleThroughput)
     // and strictly earlier unless it never row-conflicts.
     ScenarioConfig inline_cfg = simConfig("inline");
     ScenarioConfig queued_cfg = simConfig("queued");
-    ScenarioResult a = sim::runScenario(inline_cfg, 1);
-    ScenarioResult b = sim::runScenario(queued_cfg, 1);
+    ScenarioResult a = sim::runScenario(inline_cfg);
+    ScenarioResult b = sim::runScenario(queued_cfg);
     EXPECT_GT(a.sim.stats.getOr("dram.acts", 0), 0.0);
     EXPECT_LT(b.sim.cycles, a.sim.cycles);
 }
@@ -326,7 +326,7 @@ TEST(CounterUpdateSim, TinyQueueStillLosesNothing)
     std::string err;
     ASSERT_TRUE(cfg.set("subarrays", "1", &err)) << err;
     ASSERT_TRUE(cfg.set("cuq_depth", "1", &err)) << err;
-    ScenarioResult res = sim::runScenario(cfg, 1);
+    ScenarioResult res = sim::runScenario(cfg);
     const auto& st = res.sim.stats;
     const auto stat = [&](const char* key) {
         return static_cast<std::uint64_t>(

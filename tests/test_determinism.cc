@@ -1,10 +1,11 @@
 /**
  * @file
- * Determinism suite for the epoch engine: multi-threaded runs must be
- * bit-identical to single-threaded ones — same SimResult JSON, same
- * per-channel chK.* stats — across channel counts, mapping schemes,
- * sweeps and the attack families. Thread count may only change wall
- * clock, never a single bit of simulation output.
+ * Determinism suite for the epoch engine: the `threads` budget only
+ * fans sweep points out, so a point must be bit-identical at every
+ * budget — same SimResult JSON, same per-channel chK.* stats, same
+ * engine counters — across channel counts, mapping schemes, sweeps and
+ * the attack families. Thread count may only change wall clock, never
+ * a single bit of simulation output.
  */
 #include <gtest/gtest.h>
 
@@ -35,11 +36,12 @@ baseConfig(int channels, const std::string& source)
     return cfg;
 }
 
-/** Run with an explicit thread budget; returns the full result JSON. */
+/** Run with the given `threads` budget; returns the full result JSON. */
 std::string
 runWithThreads(ScenarioConfig cfg, int threads)
 {
-    ScenarioResult res = sim::runScenario(cfg, threads);
+    cfg.threads = threads;
+    ScenarioResult res = sim::runScenario(cfg);
     // resultJson() covers cycles, IPC doubles, every stat key (incl.
     // the chK.* per-channel copies) — the complete observable output.
     return res.resultJson();
@@ -50,8 +52,10 @@ runWithThreads(ScenarioConfig cfg, int threads)
 TEST(Determinism, PerChannelStatsBitIdenticalUnderThreading)
 {
     ScenarioConfig cfg = baseConfig(4, "510.parest_r");
-    ScenarioResult serial = sim::runScenario(cfg, 1);
-    ScenarioResult threaded = sim::runScenario(cfg, 4);
+    cfg.threads = 1;
+    ScenarioResult serial = sim::runScenario(cfg);
+    cfg.threads = 4;
+    ScenarioResult threaded = sim::runScenario(cfg);
     // Every chK.* key exists in both and matches exactly (doubles
     // compared bit-for-bit via ==; these are counter exports).
     int chan_keys = 0;
@@ -65,6 +69,24 @@ TEST(Determinism, PerChannelStatsBitIdenticalUnderThreading)
     EXPECT_GT(chan_keys, 0);
     EXPECT_EQ(serial.sim.cycles, threaded.sim.cycles);
     EXPECT_EQ(serial.sim.toJson(), threaded.sim.toJson());
+}
+
+TEST(Determinism, ThreadBudgetLeavesResultAndSkipStatsUnchanged)
+{
+    // A point runs one schedule on one thread whatever its budget, so
+    // the engine counters --profile=engine prints are as budget-free
+    // as the result document.
+    ScenarioConfig cfg = baseConfig(2, "429.mcf");
+    cfg.threads = 1;
+    const ScenarioResult serial = sim::runScenario(cfg);
+    cfg.threads = 4;
+    const ScenarioResult budget = sim::runScenario(cfg);
+    EXPECT_EQ(serial.resultJson(), budget.resultJson());
+    EXPECT_GT(serial.sim.skip.wakes_epoch, 0u);
+    EXPECT_EQ(serial.sim.skip.wakes_epoch, budget.sim.skip.wakes_epoch);
+    EXPECT_EQ(serial.sim.skip.cycles_skipped,
+              budget.sim.skip.cycles_skipped);
+    EXPECT_TRUE(serial.sim.skip == budget.sim.skip);
 }
 
 TEST(Determinism, RepeatedThreadedRunsAreStable)
@@ -85,15 +107,13 @@ TEST(Determinism, AttackFamilyUnaffectedByThreadBudget)
     std::string err;
     ASSERT_TRUE(cfg.set("source", "attack:wave", &err)) << err;
     cfg.nbo = 32;
-    const std::string serial = runWithThreads(cfg, 1);
-    EXPECT_EQ(serial, runWithThreads(cfg, 2));
-    EXPECT_EQ(serial, runWithThreads(cfg, 4));
+    EXPECT_EQ(runWithThreads(cfg, 1), runWithThreads(cfg, 4));
 }
 
 TEST(Determinism, SweepResultsIdenticalAcrossThreadBudgets)
 {
-    // Sweep-level fan-out composed with shard threading must still
-    // emit byte-identical per-point results in enumerate() order.
+    // Points run side by side must still emit byte-identical per-point
+    // results in enumerate() order.
     ScenarioConfig base = baseConfig(2, "429.mcf");
     base.insts = 5'000;
     SweepSpec spec;
@@ -132,8 +152,8 @@ TEST(Determinism, RecoveryChannelStallIsTheDefaultBitIdentical)
         ScenarioConfig stall = def;
         std::string err;
         ASSERT_TRUE(stall.set("recovery", "channel-stall", &err)) << err;
-        EXPECT_EQ(sim::runScenario(def, 1).resultJson(),
-                  sim::runScenario(stall, 1).resultJson())
+        EXPECT_EQ(sim::runScenario(def).resultJson(),
+                  sim::runScenario(stall).resultJson())
             << "channels=" << channels;
     }
 }
@@ -149,8 +169,8 @@ TEST(Determinism, BankIsolatedRecoveryActuallyChangesTheSimulation)
     ScenarioConfig isolated = stall;
     std::string err;
     ASSERT_TRUE(isolated.set("recovery", "bank-isolated", &err)) << err;
-    ScenarioResult a = sim::runScenario(stall, 1);
-    ScenarioResult b = sim::runScenario(isolated, 1);
+    ScenarioResult a = sim::runScenario(stall);
+    ScenarioResult b = sim::runScenario(isolated);
     // Recoveries must actually have run for the comparison to mean
     // anything.
     EXPECT_GT(a.sim.stats.getOr("ctrl.alerts", 0), 0.0);
@@ -169,11 +189,8 @@ TEST(Determinism, IsolatedRecoveryDeterministicAcrossThreadsAndChannels)
             cfg.insts = 20'000;
             std::string err;
             ASSERT_TRUE(cfg.set("recovery", recovery, &err)) << err;
-            const std::string serial = runWithThreads(cfg, 1);
-            for (int threads : {2, 4})
-                EXPECT_EQ(serial, runWithThreads(cfg, threads))
-                    << recovery << " channels=" << channels
-                    << " threads=" << threads;
+            EXPECT_EQ(runWithThreads(cfg, 1), runWithThreads(cfg, 4))
+                << recovery << " channels=" << channels;
         }
     }
 }
@@ -181,8 +198,8 @@ TEST(Determinism, IsolatedRecoveryDeterministicAcrossThreadsAndChannels)
 TEST(Determinism, RecoveryAttacksUnaffectedByThreadBudget)
 {
     // The recovery attack drivers step a MemorySystem on the calling
-    // thread (MemorySystem::step, no worker pool); like every attack
-    // family their output must be budget-independent.
+    // thread (MemorySystem::step); like every attack family their
+    // output must be budget-independent.
     for (const char* source : {"attack:rfm-probe", "attack:recovery-dos"}) {
         ScenarioConfig cfg;
         std::string err;
@@ -201,19 +218,15 @@ TEST(Determinism, QueuedCounterUpdatesBitIdenticalAcrossEngines)
 {
     // The per-bank write-back queues live entirely inside the owning
     // shard and advance only at command time, so queued/coalesced runs
-    // must be bit-identical across thread budgets (and so engine
-    // schedules) and channel counts — same bar as every other
-    // subsystem.
+    // must be bit-identical across thread budgets and channel counts —
+    // same bar as every other subsystem.
     for (const char* mode : {"queued", "coalesced"}) {
         for (int channels : {1, 2}) {
             ScenarioConfig cfg = baseConfig(channels, "429.mcf");
             std::string err;
             ASSERT_TRUE(cfg.set("counter-update", mode, &err)) << err;
-            const std::string serial = runWithThreads(cfg, 1);
-            for (int threads : {2, 4})
-                EXPECT_EQ(serial, runWithThreads(cfg, threads))
-                    << mode << " channels=" << channels
-                    << " threads=" << threads;
+            EXPECT_EQ(runWithThreads(cfg, 1), runWithThreads(cfg, 4))
+                << mode << " channels=" << channels;
         }
     }
 }
@@ -245,7 +258,7 @@ TEST(Determinism, RecoveryAttacksUnderCoalescedCounterUpdates)
         ASSERT_TRUE(cfg.set("recovery", "bank-isolated", &err)) << err;
         ASSERT_TRUE(cfg.set("counter-update", "coalesced", &err)) << err;
         ASSERT_TRUE(cfg.set("attack_cycles", "40000", &err)) << err;
-        ScenarioResult res = sim::runScenario(cfg, 1);
+        ScenarioResult res = sim::runScenario(cfg);
         const std::string serial = res.resultJson();
         EXPECT_EQ(serial, runWithThreads(cfg, 4)) << source;
         // The drivers recorded real attack activity and victim probes.
@@ -274,16 +287,14 @@ TEST(Determinism, ThreadsKeyValidatesAndSupportsAuto)
     EXPECT_FALSE(cfg.set("threads", "5000", &err));
 }
 
-// --- Engine schedules (alternating at threads=1, pipelined on a pool) --
+// --- The one engine schedule and the retired schedule keys ------------
 
 TEST(Determinism, PipelinedStealingEngineBitIdenticalToSerialV1)
 {
-    // The heart of the engine contract: thread count never changes a
-    // bit. The pipelined schedule (any run with a worker pool) must
-    // reproduce the serial alternating schedule (threads=1) bit for
-    // bit, at every channel count. The retired `steal` and `pipeline`
-    // keys are set both ways to pin that old configs carrying them
-    // load and that they change nothing.
+    // The heart of the engine contract: neither the thread budget nor
+    // the retired `steal` and `pipeline` keys change a bit. They are
+    // set both ways to pin that old configs carrying them load and
+    // reproduce the serial threads=1 run at every channel count.
     for (int channels : {1, 2, 4, 8}) {
         ScenarioConfig serial = baseConfig(channels, "429.mcf");
         std::string err;
@@ -294,26 +305,9 @@ TEST(Determinism, PipelinedStealingEngineBitIdenticalToSerialV1)
         ScenarioConfig pooled = baseConfig(channels, "429.mcf");
         ASSERT_TRUE(pooled.set("pipeline", "off", &err)) << err;
         ASSERT_TRUE(pooled.set("steal", "on", &err)) << err;
-        for (int threads : {2, 4})
-            EXPECT_EQ(golden, runWithThreads(pooled, threads))
-                << "channels=" << channels << " threads=" << threads;
+        EXPECT_EQ(golden, runWithThreads(pooled, 4))
+            << "channels=" << channels;
     }
-}
-
-TEST(Determinism, PipelinedEngineDeterministicOnAlertActiveConfig)
-{
-    // Overlap + recovery interplay: an alert-active low-NBO config with
-    // isolated recovery, pipelined, across thread counts.
-    ScenarioConfig cfg = baseConfig(4, "510.parest_r");
-    cfg.nbo = 8;
-    cfg.insts = 20'000;
-    std::string err;
-    ASSERT_TRUE(cfg.set("recovery", "bank-isolated", &err)) << err;
-    ASSERT_TRUE(cfg.set("steal", "on", &err)) << err;
-    const std::string serial = runWithThreads(cfg, 1);
-    for (int threads : {2, 4})
-        EXPECT_EQ(serial, runWithThreads(cfg, threads))
-            << "threads=" << threads;
 }
 
 TEST(Determinism, EngineKeysValidateAndRoundTrip)
@@ -375,26 +369,6 @@ TEST(Determinism, EngineKeysValidateAndRoundTrip)
     ASSERT_TRUE(ScenarioConfig::fromIniText("pipeline=off", &old, &err));
     EXPECT_EQ(runWithThreads(old, 2),
               runWithThreads(baseConfig(2, "429.mcf"), 2));
-}
-
-TEST(Determinism, EnginePoolDegreeNeverExceedsThreadBudget)
-{
-    // The sweep x engine nesting audit: even with the pipelined main
-    // phase keeping the caller lane busy, a run must never use more
-    // than its thread budget (innerThreadBudget hands out exact
-    // slices).
-    using sim::enginePoolDegree;
-    for (int threads : {1, 2, 3, 4, 8}) {
-        for (int channels : {1, 2, 4, 8}) {
-            const int d = enginePoolDegree(threads, channels);
-            EXPECT_LE(d, std::max(1, threads));
-            EXPECT_GE(d, 1);
-        }
-    }
-    // One lane per shard plus exactly the caller lane.
-    EXPECT_EQ(enginePoolDegree(8, 2), 3);
-    // A single thread never gets a pool.
-    EXPECT_EQ(enginePoolDegree(1, 8), 1);
 }
 
 TEST(Determinism, SweepReportsEngineThroughputBesideResults)

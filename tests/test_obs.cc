@@ -298,19 +298,20 @@ TEST(ObsScenario, TraceKeysAreHashExcluded)
 TEST(ObsScenario, TraceBytesIdenticalAcrossEngineGrid)
 {
     // The tentpole contract: the merged event stream (and the sampled
-    // counter rows embedded in it) is byte-identical across threads
-    // (alternating at 1, pipelined above) x skip, exactly like the
+    // counter rows embedded in it) is byte-identical across the engine
+    // grid, skip on/off x the threads budget, exactly like the
     // simulation result.
     std::string reference;
     int n = 0;
-    for (int threads : {1, 2, 4}) {
+    for (int threads : {1, 4}) {
         for (const char* skip : {"on", "off"}) {
             const std::string path = testing::TempDir() + "obs_grid_" +
                                      std::to_string(n++) + ".json";
             ScenarioConfig cfg = tracedConfig("all", path);
             std::string err;
             ASSERT_TRUE(cfg.set("skip", skip, &err)) << err;
-            ScenarioResult res = sim::runScenario(cfg, threads);
+            cfg.threads = threads;
+            ScenarioResult res = sim::runScenario(cfg);
             ASSERT_TRUE(res.obs != nullptr);
             EXPECT_EQ(res.obs->trace_path, path);
             const std::string bytes = readFile(path);
@@ -334,8 +335,8 @@ TEST(ObsScenario, TracingDoesNotChangeTheResult)
     std::string err;
     ASSERT_TRUE(plain.set("trace", "off", &err)) << err;
     ASSERT_TRUE(plain.set("metrics-interval", "off", &err)) << err;
-    ScenarioResult rt = sim::runScenario(traced, 2);
-    ScenarioResult rp = sim::runScenario(plain, 2);
+    ScenarioResult rt = sim::runScenario(traced);
+    ScenarioResult rp = sim::runScenario(plain);
     EXPECT_EQ(rt.resultJson(), rp.resultJson());
     EXPECT_TRUE(rp.obs == nullptr);
     std::remove(path.c_str());
@@ -345,7 +346,7 @@ TEST(ObsScenario, CategoryFilterRestrictsTheTrace)
 {
     const std::string path = testing::TempDir() + "obs_filtered.json";
     ScenarioConfig cfg = tracedConfig("cmd", path);
-    ScenarioResult res = sim::runScenario(cfg, 1);
+    ScenarioResult res = sim::runScenario(cfg);
     ASSERT_TRUE(res.obs != nullptr);
     EXPECT_EQ(obs::categoryMaskToString(res.obs->mask), "cmd");
     JsonValue doc;
@@ -373,7 +374,7 @@ TEST(ObsScenario, MetricsSummaryTracksFollowTheCanonicalOrder)
 {
     const std::string path = testing::TempDir() + "obs_metrics.json";
     ScenarioConfig cfg = tracedConfig("off", path);
-    ScenarioResult res = sim::runScenario(cfg, 1);
+    ScenarioResult res = sim::runScenario(cfg);
     ASSERT_TRUE(res.obs != nullptr);
     EXPECT_EQ(res.obs->mask, 0u); // trace off, metrics on
     EXPECT_TRUE(res.obs->trace_path.empty());

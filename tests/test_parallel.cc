@@ -2,8 +2,8 @@
  * @file
  * Tests for the shared threading runtime: the SPSC mailbox ring
  * (fill/drain/FIFO ordering, single-threaded and under true
- * producer/consumer concurrency), parallelFor, the thread-budget
- * helper, and the persistent WorkerPool's barrier semantics.
+ * producer/consumer concurrency), parallelFor, and the persistent
+ * WorkerPool's barrier semantics.
  */
 #include <gtest/gtest.h>
 
@@ -92,43 +92,6 @@ TEST(SpscRing, WrapsAroundManyTimes)
     EXPECT_EQ(expect, 1000);
 }
 
-TEST(SpscRing, StagedPushIgnoresConcurrentConsumerProgress)
-{
-    // pushStaged admits against the consumer position captured at the
-    // last syncProducer(), not the live one — the property the
-    // pipelined engine's admission determinism rests on.
-    SpscRing<int> ring(4);
-    for (int i = 0; i < 4; ++i)
-        ASSERT_TRUE(ring.pushStaged(int(i)));
-    EXPECT_FALSE(ring.pushStaged(99)); // staged-full
-    int v = -1;
-    ASSERT_TRUE(ring.pop(&v)); // consumer frees a slot...
-    EXPECT_FALSE(ring.pushStaged(99)); // ...but the staged view holds
-    ring.syncProducer();
-    EXPECT_TRUE(ring.pushStaged(99)); // refreshed at the barrier
-    std::vector<int> got;
-    while (ring.pop(&v))
-        got.push_back(v);
-    EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 99}));
-}
-
-TEST(SpscRing, StagedAndPlainPushInterleaveConsistently)
-{
-    // Both forms advance the same tail cursor, so a producer may mix
-    // them; only the admission test differs (live vs staged head).
-    SpscRing<int> ring(4);
-    ASSERT_TRUE(ring.pushStaged(0));
-    ASSERT_TRUE(ring.push(1)); // syncs, sees 2 slots left
-    ASSERT_TRUE(ring.pushStaged(2));
-    ASSERT_TRUE(ring.pushStaged(3));
-    EXPECT_FALSE(ring.pushStaged(99));
-    int v = -1;
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(ring.pop(&v));
-        EXPECT_EQ(v, i);
-    }
-}
-
 TEST(SpscRing, ConcurrentProducerConsumerKeepsOrder)
 {
     // True concurrency (the engine itself only needs phase-separated
@@ -154,7 +117,7 @@ TEST(SpscRing, ConcurrentProducerConsumerKeepsOrder)
         ASSERT_EQ(got[static_cast<std::size_t>(i)], i);
 }
 
-// --- parallelFor / thread budget ---------------------------------------
+// --- parallelFor -----------------------------------------------------
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
@@ -174,21 +137,6 @@ TEST(ParallelFor, ZeroCountIsANoOp)
     int calls = 0;
     parallelFor(0, 4, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadBudget, SplitsTotalAcrossOuterParallelism)
-{
-    // A sweep of 8 points on an 8-thread budget: 1 thread per point.
-    EXPECT_EQ(innerThreadBudget(8, 8), 1);
-    // 2 concurrent points on 8 threads: 4 each.
-    EXPECT_EQ(innerThreadBudget(8, 2), 4);
-    // A single run keeps the whole budget.
-    EXPECT_EQ(innerThreadBudget(8, 1), 8);
-    // Outer fan-out wider than the budget still grants one thread.
-    EXPECT_EQ(innerThreadBudget(4, 100), 1);
-    // Degenerate budgets floor at one.
-    EXPECT_EQ(innerThreadBudget(0, 5), 1);
-    EXPECT_EQ(innerThreadBudget(1, 3), 1);
 }
 
 // --- WorkerPool ---------------------------------------------------------
@@ -237,53 +185,10 @@ TEST(WorkerPool, SumAcrossManyDispatches)
     EXPECT_EQ(sum.load(), want);
 }
 
-TEST(WorkerPool, DispatchOverlapsCallerWorkUntilWait)
-{
-    // dispatch()/wait() is the pipelined engine's overlap primitive:
-    // workers chew on the tasks while the caller does its own work, and
-    // wait() is the full barrier (the caller helps drain).
-    WorkerPool pool(4);
-    std::vector<std::atomic<int>> hits(32);
-    // dispatch() borrows the function until wait() returns, so it must
-    // be a named object, not a temporary.
-    const std::function<void(std::size_t)> job = [&](std::size_t i) {
-        hits[i].fetch_add(1);
-    };
-    for (int round = 0; round < 50; ++round) {
-        for (auto& h : hits)
-            h = 0;
-        std::atomic<int> caller_work{0};
-        pool.dispatch(hits.size(), job);
-        // Caller-side work the barrier must not depend on.
-        for (int i = 0; i < 100; ++i)
-            caller_work.fetch_add(1);
-        pool.wait();
-        EXPECT_EQ(caller_work.load(), 100);
-        for (const auto& h : hits)
-            ASSERT_EQ(h.load(), 1);
-    }
-}
-
-TEST(WorkerPool, DispatchWithoutWorkersRunsInline)
-{
-    WorkerPool pool(1);
-    std::thread::id me = std::this_thread::get_id();
-    std::vector<std::thread::id> ran(4);
-    pool.dispatch(ran.size(), [&](std::size_t i) {
-        ran[i] = std::this_thread::get_id();
-    });
-    pool.wait(); // no-op: degree-1 dispatch already completed inline
-    for (const auto& id : ran)
-        EXPECT_EQ(id, me);
-}
-
 TEST(WorkerPool, ZeroCountDispatchIsANoOp)
 {
     WorkerPool pool(3);
     int calls = 0;
-    pool.dispatch(0, [&](std::size_t) { ++calls; });
-    pool.wait();
-    EXPECT_EQ(calls, 0);
     pool.run(0, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 0);
 }

@@ -268,7 +268,7 @@ runRecoveryAttack(const std::string& source,
     EXPECT_TRUE(cfg.set("recovery", recovery, &err)) << err;
     EXPECT_TRUE(cfg.set("nbo", "8", &err)) << err;
     EXPECT_TRUE(cfg.set("attack_cycles", "80000", &err)) << err;
-    return sim::runScenario(cfg, 1).stats;
+    return sim::runScenario(cfg).stats;
 }
 
 } // namespace
