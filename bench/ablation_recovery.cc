@@ -7,7 +7,7 @@
  *  - Performance: recovery x channels over an alert-heavy workload
  *    (the checked-in base pins NBO low so recovery blocking dominates).
  *    Channel-stall pays the whole channel per alert; bank isolation
- *    recovers most of that IPC, group isolation sits between.
+ *    recovers most of that IPC.
  *
  *  - Leakage: the same recovery axis over attack:rfm-probe (the
  *    cross-bank timing channel of "When Mitigations Backfire") and
@@ -30,7 +30,7 @@ using sim::SweepSpec;
 namespace {
 
 constexpr const char* kRecoveryAxis =
-    "recovery=channel-stall,bank-isolated,group-isolated";
+    "recovery=channel-stall,bank-isolated";
 
 } // namespace
 
@@ -38,8 +38,8 @@ int
 main(int argc, char** argv)
 {
     bench::banner("Ablation",
-                  "recovery policies: channel-stall vs bank/group "
-                  "isolation — IPC and timing-channel leakage");
+                  "recovery policies: channel-stall vs bank isolation "
+                  "— IPC and timing-channel leakage");
 
     // --cache-dir / QPRAC_CACHE_DIR: reuse already-computed points so
     // an interrupted or repeated figure run is (mostly) free.

@@ -1,8 +1,8 @@
 /**
  * @file
  * The recovery Pareto frontier: timing-channel leakage vs delivered
- * IPC over the (recovery x nbo x nmit x channels x backend) grid —
- * 48 configurations, each simulated twice (once under the workload for
+ * IPC over the (recovery x nbo x nmit x channels) grid — 16
+ * configurations, each simulated twice (once under the workload for
  * IPC, once under attack:rfm-probe for the leakage signal), joined on
  * the grid key and charted as a frontier: a point is Pareto-optimal
  * when no other point both performs at least as well and leaks at most
@@ -36,20 +36,21 @@ using bench::overrideValue;
 namespace {
 
 const std::vector<std::string> kAxes = {
-    "recovery=channel-stall,bank-isolated,group-isolated",
+    "recovery=channel-stall,bank-isolated",
     "nbo=4,8",
     "nmit=1,2",
     "channels=1,2",
-    "backend=linear,heap",
 };
+
+constexpr const char* kAxisKeys[] = {"recovery", "nbo", "nmit",
+                                     "channels"};
 
 /** The grid key a perf point and its leakage twin share. */
 std::string
 gridKey(const SweepPointResult& p)
 {
     std::string key;
-    for (const char* axis :
-         {"recovery", "nbo", "nmit", "channels", "backend"})
+    for (const char* axis : kAxisKeys)
         key += overrideValue(p, axis) + "|";
     return key;
 }
@@ -69,8 +70,8 @@ main(int argc, char** argv)
 {
     bench::banner("Pareto",
                   "recovery frontier: leakage vs IPC over recovery x "
-                  "nbo x nmit x channels x backend, cold vs warm "
-                  "through the result cache");
+                  "nbo x nmit x channels, cold vs warm through the "
+                  "result cache");
 
     // The cache is the point of this bench, so unlike the other
     // figures it is always on: --cache-dir / QPRAC_CACHE_DIR, default
@@ -184,17 +185,16 @@ main(int argc, char** argv)
 
     bench::ResultSink csv("pareto_recovery",
                           {"recovery", "nbo", "nmit", "channels",
-                           "backend", "ipc_sum", "leakage_signal",
+                           "ipc_sum", "leakage_signal",
                            "alerts_per_trefi", "pareto"});
-    Table t({"recovery", "nbo", "nmit", "channels", "backend",
-             "IPC (sum)", "leakage (cyc)", "frontier"});
+    Table t({"recovery", "nbo", "nmit", "channels", "IPC (sum)",
+             "leakage (cyc)", "frontier"});
     std::size_t frontier_points = 0;
     for (const auto& r : rows) {
         const auto& p = *r.perf;
         csv.addRow({overrideValue(p, "recovery"),
                     overrideValue(p, "nbo"), overrideValue(p, "nmit"),
-                    overrideValue(p, "channels"),
-                    overrideValue(p, "backend"), Table::num(r.ipc, 4),
+                    overrideValue(p, "channels"), Table::num(r.ipc, 4),
                     Table::num(r.leakage, 2),
                     Table::num(p.result.sim.alerts_per_trefi, 4),
                     r.pareto ? "1" : "0"});
@@ -203,8 +203,7 @@ main(int argc, char** argv)
         ++frontier_points;
         t.addRow({overrideValue(p, "recovery"), overrideValue(p, "nbo"),
                   overrideValue(p, "nmit"),
-                  overrideValue(p, "channels"),
-                  overrideValue(p, "backend"), Table::num(r.ipc, 4),
+                  overrideValue(p, "channels"), Table::num(r.ipc, 4),
                   Table::num(r.leakage, 2), "*"});
     }
     t.print();
@@ -230,8 +229,7 @@ main(int argc, char** argv)
     for (const auto& r : rows) {
         const auto& p = *r.perf;
         w.beginObject();
-        for (const char* axis :
-             {"recovery", "nbo", "nmit", "channels", "backend"})
+        for (const char* axis : kAxisKeys)
             w.key(axis).value(overrideValue(p, axis));
         w.key("hash").value(p.hash);
         w.key("ipc_sum").value(r.ipc);
@@ -252,11 +250,10 @@ main(int argc, char** argv)
     }
 
     std::printf(
-        "\nTakeaway: the frontier is traced by the isolated-recovery "
-        "policies — widening the blocking domain buys back nothing the "
-        "probe doesn't take as leakage — and the %zu-point grid that "
-        "found it reruns %.1fx faster warm than cold, byte-identical, "
-        "from %s (full numbers in %s).\n",
+        "\nTakeaway: bank-isolated recovery holds the high-IPC end of "
+        "the frontier and channel stall the low-leakage end, and the "
+        "%zu-point grid that found it reruns %.1fx faster warm than "
+        "cold, byte-identical, from %s (full numbers in %s).\n",
         rows.size(), speedup, cache.dir().c_str(), out_path.c_str());
     return 0;
 }

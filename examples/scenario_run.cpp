@@ -24,7 +24,7 @@ main()
          {std::pair<const char*, const char*>{"source",
                                               "workload:429.mcf"},
           {"mitigation", "qprac+proactive-ea"},
-          {"backend", "heap"},
+          {"backend", "coalescing"},
           {"insts", "20000"},
           {"cores", "2"},
           {"seed", "7"}}) {

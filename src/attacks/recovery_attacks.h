@@ -24,8 +24,8 @@
  *  - recovery-dos: the attacker drives an alert storm across many
  *    banks of channel 0; a victim streams reads at an uninvolved bank.
  *    Channel-stall serializes every recovery against the victim;
- *    isolated policies overlap them (peak_concurrent measures the
- *    overlap) and keep the victim's latency flat.
+ *    bank-isolated recovery overlaps them (peak_concurrent measures
+ *    the overlap) and keeps the victim's latency flat.
  */
 #ifndef QPRAC_ATTACKS_RECOVERY_ATTACKS_H
 #define QPRAC_ATTACKS_RECOVERY_ATTACKS_H

@@ -11,8 +11,8 @@
  *
  * This is the default ServiceQueueBackend; every operation is a linear
  * scan over at most a handful of entries, mirroring the 5-entry CAM the
- * paper synthesizes (15 bytes per bank). For large-queue sweeps see
- * HeapQueue; for insertion-bandwidth reduction see CoalescingQueue.
+ * paper synthesizes (15 bytes per bank). For insertion-bandwidth
+ * reduction see CoalescingQueue.
  */
 #ifndef QPRAC_CORE_PSQ_H
 #define QPRAC_CORE_PSQ_H

@@ -347,7 +347,6 @@ QpracT<Backend>::topCount(int flat_bank) const
 }
 
 template class QpracT<LinearCamQueue>;
-template class QpracT<HeapQueue>;
 template class QpracT<CoalescingQueue>;
 
 std::unique_ptr<dram::RowhammerMitigation>
@@ -356,8 +355,6 @@ makeQprac(const QpracConfig& config, dram::PracCounters* counters)
     switch (config.backend) {
       case SqBackendKind::Linear:
         return std::make_unique<Qprac>(config, counters);
-      case SqBackendKind::Heap:
-        return std::make_unique<QpracHeap>(config, counters);
       case SqBackendKind::Coalescing:
         return std::make_unique<QpracCoalescing>(config, counters);
     }

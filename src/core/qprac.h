@@ -15,8 +15,9 @@
  * The engine is parameterized over the ServiceQueueBackend: QpracT<B>
  * calls its per-bank queues with static dispatch (B is a final class, so
  * the activation hot path has no virtual calls), and makeQprac()
- * type-erases the instantiation chosen by QpracConfig::backend behind
- * the RowhammerMitigation interface.
+ * type-erases the instantiation chosen by QpracConfig::backend — the
+ * paper's linear CAM (Qprac) or the CnC-style coalescing front
+ * (QpracCoalescing) — behind the RowhammerMitigation interface.
  */
 #ifndef QPRAC_CORE_QPRAC_H
 #define QPRAC_CORE_QPRAC_H
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "core/coalescing_queue.h"
-#include "core/heap_queue.h"
 #include "core/psq.h"
 #include "core/service_queue.h"
 #include "dram/mitigation_iface.h"
@@ -149,12 +149,10 @@ class QpracT final : public dram::RowhammerMitigation
 };
 
 extern template class QpracT<LinearCamQueue>;
-extern template class QpracT<HeapQueue>;
 extern template class QpracT<CoalescingQueue>;
 
 /** The paper's QPRAC: linear-scan CAM backend. */
 using Qprac = QpracT<LinearCamQueue>;
-using QpracHeap = QpracT<HeapQueue>;
 using QpracCoalescing = QpracT<CoalescingQueue>;
 
 /** Construct the QpracT instantiation selected by @p config.backend. */

@@ -1,7 +1,6 @@
 #include "core/service_queue.h"
 
 #include "core/coalescing_queue.h"
-#include "core/heap_queue.h"
 #include "core/psq.h"
 
 namespace qprac::core {
@@ -11,7 +10,6 @@ sqBackendName(SqBackendKind kind)
 {
     switch (kind) {
       case SqBackendKind::Linear: return "linear";
-      case SqBackendKind::Heap: return "heap";
       case SqBackendKind::Coalescing: return "coalescing";
     }
     return "?";
@@ -20,12 +18,8 @@ sqBackendName(SqBackendKind kind)
 bool
 parseSqBackend(const std::string& name, SqBackendKind* out)
 {
-    if (name == "linear" || name == "cam") {
+    if (name == "linear" || name == "cam" || name == "heap") {
         *out = SqBackendKind::Linear;
-        return true;
-    }
-    if (name == "heap") {
-        *out = SqBackendKind::Heap;
         return true;
     }
     if (name == "coalescing" || name == "coalesce" || name == "cnc") {
@@ -38,8 +32,7 @@ parseSqBackend(const std::string& name, SqBackendKind* out)
 std::vector<SqBackendKind>
 allSqBackends()
 {
-    return {SqBackendKind::Linear, SqBackendKind::Heap,
-            SqBackendKind::Coalescing};
+    return {SqBackendKind::Linear, SqBackendKind::Coalescing};
 }
 
 std::unique_ptr<ServiceQueueBackend>
@@ -48,8 +41,6 @@ makeServiceQueue(SqBackendKind kind, int capacity)
     switch (kind) {
       case SqBackendKind::Linear:
         return std::make_unique<LinearCamQueue>(capacity);
-      case SqBackendKind::Heap:
-        return std::make_unique<HeapQueue>(capacity);
       case SqBackendKind::Coalescing:
         return std::make_unique<CoalescingQueue>(capacity);
     }

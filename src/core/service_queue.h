@@ -31,9 +31,10 @@
  * stream make byte-identical decisions.
  *
  * The tie-break rules are part of the contract (not just an
- * implementation detail) so that backends are *decision-equivalent*: a
- * LinearCamQueue and a HeapQueue fed the same activation stream make
- * identical insert/evict/top choices, which the property tests assert.
+ * implementation detail): any implementation of them is
+ * *decision-equivalent* to LinearCamQueue — fed the same activation
+ * stream it makes identical insert/evict/top choices, which the
+ * property tests assert against an independent reference model.
  */
 #ifndef QPRAC_CORE_SERVICE_QUEUE_H
 #define QPRAC_CORE_SERVICE_QUEUE_H
@@ -135,14 +136,17 @@ hotterFirst(const SqEntry& a, const SqEntry& b)
 enum class SqBackendKind
 {
     Linear,     ///< linear-scan CAM — the paper's 5-entry PSQ
-    Heap,       ///< binary heap + row→slot map, for large-queue sweeps
     Coalescing, ///< CnC-PRAC-style coalescing buffer in front of the CAM
 };
 
-/** Short lowercase name ("linear", "heap", "coalescing"). */
+/** Short lowercase name ("linear", "coalescing"). */
 const char* sqBackendName(SqBackendKind kind);
 
-/** Parse a backend name; returns false on unknown names. */
+/**
+ * Parse a backend name; returns false on unknown names. `cam` and the
+ * retired `heap` (a decision-equivalent binary heap) alias `linear`;
+ * `coalesce` and `cnc` alias `coalescing`.
+ */
 bool parseSqBackend(const std::string& name, SqBackendKind* out);
 
 /** All backend kinds, for sweeps. */

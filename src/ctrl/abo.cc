@@ -7,13 +7,11 @@ namespace qprac::ctrl {
 
 AboEngine::AboEngine(const AboConfig& config,
                      const dram::TimingParams& timing, int num_banks)
-    : cfg_(config),
-      t_(timing),
-      policy_(makeRecoveryPolicy(config.recovery))
+    : cfg_(config), t_(timing)
 {
-    if (!policy_->channelScope())
-        bank_ = std::make_unique<BankRecoveryEngine>(
-            *policy_, t_, cfg_.nmit, cfg_.scope, num_banks);
+    if (!channelScope())
+        bank_ = std::make_unique<BankRecoveryEngine>(t_, cfg_.nmit,
+                                                     num_banks);
 }
 
 void
@@ -27,15 +25,15 @@ AboEngine::setEventSink(obs::EventSink* sink)
 void
 AboEngine::tick(dram::DramDevice& dev, Cycle now)
 {
-    // Isolated policies: alerts are handled per bank; the channel-wide
-    // machine below still serves the policy RFM pump (Mithril/PrIDE).
+    // Bank-isolated recovery: alerts are handled per bank; the
+    // channel-wide machine below still serves the policy RFM pump
+    // (Mithril/PrIDE).
     bank_rfm_this_tick_ =
         bank_ && cfg_.enabled && bank_->tick(dev, refresh_, now);
 
     switch (state_) {
       case State::Idle:
-        if (policy_->channelScope() && cfg_.enabled &&
-            dev.alertAsserted()) {
+        if (channelScope() && cfg_.enabled && dev.alertAsserted()) {
             ++alerts_;
             alert_bank_ =
                 dev.mitigation() ? dev.mitigation()->alertingBank() : -1;
@@ -91,10 +89,9 @@ AboEngine::tick(dram::DramDevice& dev, Cycle now)
             for (int r = 0; r < dev.organization().ranks; ++r)
                 if (!dev.rankIdle(r, now))
                     return;
-            dram::RfmScope scope =
-                policy_mode_ ? policy_scope_
-                             : policy_->rfmScope(cfg_.scope);
-            next_rfm_at_ = dev.issueRfm(scope, alert_bank_, now);
+            next_rfm_at_ = dev.issueRfm(
+                policy_mode_ ? policy_scope_ : cfg_.scope, alert_bank_,
+                now);
             --rfms_left_;
             if (policy_mode_)
                 ++policy_rfms_;
@@ -120,7 +117,7 @@ AboEngine::nextEventAt(const dram::DramDevice& dev, Cycle now) const
 {
     Cycle at = kNeverCycle;
 
-    // Per-bank machines (isolated policies).
+    // Per-bank machines (bank-isolated recovery).
     if (bank_ && cfg_.enabled)
         at = bank_->nextEventAt(dev, refresh_, now);
 
@@ -128,8 +125,7 @@ AboEngine::nextEventAt(const dram::DramDevice& dev, Cycle now) const
     switch (state_) {
       case State::Idle:
         if (policy_pending_ ||
-            (policy_->channelScope() && cfg_.enabled &&
-             dev.alertAsserted()))
+            (channelScope() && cfg_.enabled && dev.alertAsserted()))
             at = std::min(at, now + 1);
         // Otherwise the alert can only rise on an ACT — a wake itself.
         break;

@@ -6,11 +6,11 @@
  * On ALERT_n assertion the controller may issue up to abo_act_max ACTs
  * within the tABO_window (180 ns); it then quiesces, issues Nmit
  * back-to-back RFM commands, and notifies the device so ABODelay gating
- * restarts. *How much* of the channel the recovery quiesces is decided
- * by the configured RecoveryPolicy (ctrl/recovery): the default
- * ChannelStall runs the classic channel-wide state machine here, while
- * the isolated policies delegate alert handling to a per-bank
- * BankRecoveryEngine so only covered banks stop scheduling.
+ * restarts. *How much* of the channel the recovery quiesces is the
+ * configured RecoveryKind (ctrl/recovery): the default ChannelStall
+ * runs the classic channel-wide state machine here, while BankIsolated
+ * delegates alert handling to a per-bank BankRecoveryEngine so only
+ * the alerting bank stops scheduling.
  */
 #ifndef QPRAC_CTRL_ABO_H
 #define QPRAC_CTRL_ABO_H
@@ -47,7 +47,8 @@ class AboEngine
   public:
     /**
      * @param num_banks the channel's bank count (DramDevice::numBanks):
-     *        isolated policies build their per-bank machines up front.
+     *        bank-isolated recovery builds its per-bank machines up
+     *        front.
      */
     AboEngine(const AboConfig& config, const dram::TimingParams& timing,
               int num_banks);
@@ -82,16 +83,19 @@ class AboEngine
      * True when this tick's per-bank recovery issued an RFM: that RFM
      * occupied the command bus, so the controller schedules nothing
      * else this cycle. (Channel-stall RFM cycles schedule nothing
-     * anyway — every bank is gated — so this only ever fires for the
-     * isolated policies, keeping the command-bus model symmetric.)
+     * anyway — every bank is gated — so this only ever fires under
+     * bank-isolated recovery, keeping the command-bus model symmetric.)
      */
     bool recoveryRfmIssuedThisTick() const
     {
         return bank_rfm_this_tick_;
     }
 
-    /** True when the policy gates the whole channel (ChannelStall). */
-    bool channelScope() const { return policy_->channelScope(); }
+    /** True when recovery gates the whole channel (ChannelStall). */
+    bool channelScope() const
+    {
+        return cfg_.recovery == RecoveryKind::ChannelStall;
+    }
 
     /** May the controller issue an ACT this cycle? (channel gate) */
     bool allowAct() const;
@@ -173,8 +177,7 @@ class AboEngine
 
     AboConfig cfg_;
     const dram::TimingParams& t_;
-    std::unique_ptr<RecoveryPolicy> policy_;
-    /** Per-bank machines (isolated policies; null for ChannelStall). */
+    /** Per-bank machines (BankIsolated; null for ChannelStall). */
     std::unique_ptr<BankRecoveryEngine> bank_;
     const RefreshScheduler* refresh_ = nullptr;
     obs::EventSink* sink_ = nullptr;

@@ -1,24 +1,27 @@
 /**
  * @file
- * Per-bank ALERT_n recovery engine for the isolated recovery policies
- * (PRACtical-style BankIsolated and the GroupIsolated middle point).
+ * Per-bank ALERT_n recovery engine for PRACtical-style bank-isolated
+ * recovery.
  *
  * Unlike the channel-stall ABO machine (one recovery at a time, the
  * whole channel gated), this engine runs one Window -> Quiesce ->
  * Pumping machine per *alerting bank*, so an alert storm puts several
- * banks in recovery concurrently while uncovered banks keep
+ * banks in recovery concurrently while every other bank keeps
  * scheduling. Each machine mirrors the channel-stall protocol exactly,
- * scoped to the banks its policy covers:
+ * scoped to its own bank:
  *
- *  - Window: up to abo_act_max further ACTs to covered banks within
+ *  - Window: up to abo_act_max further ACTs to the bank within
  *    tABO_window;
- *  - Quiesce: covered banks are precharged (the controller issues the
- *    PREs, keyed on quiesceSince());
- *  - Pumping: Nmit back-to-back RFMs with the policy's scope, at most
- *    one RFM per cycle across all machines (one command bus), REFs
- *    taking priority on their rank;
+ *  - Quiesce: the bank is precharged (the controller issues the PRE,
+ *    keyed on quiesceSince());
+ *  - Pumping: Nmit back-to-back per-bank RFMs, at most one RFM per
+ *    cycle across all machines (one command bus), REFs taking
+ *    priority on their rank;
  *  - done: the device's *per-bank* ABODelay gate restarts
  *    (DramDevice::bankAlertServiced), so RAA accounting is per bank.
+ *
+ * A bank's gates (allowAct/allowCas/quiesceSince) read its own machine
+ * only, so they cost one lookup.
  */
 #ifndef QPRAC_CTRL_RECOVERY_BANK_RECOVERY_H
 #define QPRAC_CTRL_RECOVERY_BANK_RECOVERY_H
@@ -26,7 +29,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "ctrl/recovery/recovery_policy.h"
 #include "ctrl/refresh.h"
 #include "dram/dram_device.h"
 
@@ -40,9 +42,8 @@ namespace qprac::ctrl {
 class BankRecoveryEngine
 {
   public:
-    BankRecoveryEngine(const RecoveryPolicy& policy,
-                       const dram::TimingParams& timing, int nmit,
-                       dram::RfmScope configured_scope, int num_banks);
+    BankRecoveryEngine(const dram::TimingParams& timing, int nmit,
+                       int num_banks);
 
     /** Attach an event sink (recovery category; may be null). */
     void setEventSink(obs::EventSink* sink) { sink_ = sink; }
@@ -55,7 +56,7 @@ class BankRecoveryEngine
      * @return true when an RFM was issued this tick — it occupied the
      * command bus, so the controller must not issue another command
      * this cycle (channel-stall cycles with an RFM schedule nothing
-     * either; without this the isolated policies would get a free
+     * either; without this bank-isolated recovery would get a free
      * extra command slot per RFM, biasing every comparison).
      */
     bool tick(dram::DramDevice& dev, const RefreshScheduler* refresh,
@@ -75,11 +76,11 @@ class BankRecoveryEngine
      *    the alerting bank's own machine is in flight or its ABODelay
      *    gate is shut.
      *  - Window: window_end, or now + 1 once the ACT budget is spent.
-     *  - Quiesce: coveredIdleAt() (never while a covered bank is open;
-     *    the closing PRE is a wake).
+     *  - Quiesce: bankIdleAt() (never while the bank is open; the
+     *    closing PRE is a wake).
      *  - Pumping: next_rfm_at while it lies ahead; now + 1 when no RFM
      *    is left (the machine returns to Idle); otherwise
-     *    coveredIdleAt(). Losing the one-RFM-per-cycle bus to another
+     *    bankIdleAt(). Losing the one-RFM-per-cycle bus to another
      *    machine is resolved by that RFM (a wake), and a pending REF
      *    on the bank's rank (@p refresh, optional) holds the pump
      *    until its REF issues — a wake of the refresh scheduler — so
@@ -91,23 +92,29 @@ class BankRecoveryEngine
     /** May the controller ACT on @p bank this cycle? */
     bool allowAct(int bank) const
     {
-        return !act_blocked_[static_cast<std::size_t>(bank)];
+        const BankState& m = banks_[static_cast<std::size_t>(bank)];
+        return m.state == State::Idle ||
+               (m.state == State::Window && m.window_acts < t_.abo_act_max);
     }
 
     /** May the controller CAS on @p bank this cycle? */
     bool allowCas(int bank) const
     {
-        return !cas_blocked_[static_cast<std::size_t>(bank)];
+        return banks_[static_cast<std::size_t>(bank)].state !=
+               State::Pumping;
     }
 
     /**
-     * Earliest cycle a quiesce demand covering @p bank began
-     * (kNeverCycle when none): the controller precharges such banks,
-     * letting row hits older than this drain first.
+     * Cycle @p bank's quiesce demand began (kNeverCycle when none): the
+     * controller precharges such banks, letting row hits older than
+     * this drain first.
      */
     Cycle quiesceSince(int bank) const
     {
-        return quiesce_since_[static_cast<std::size_t>(bank)];
+        const BankState& m = banks_[static_cast<std::size_t>(bank)];
+        return m.state == State::Quiesce || m.state == State::Pumping
+                   ? m.quiesce_since
+                   : kNeverCycle;
     }
 
     /** True when some bank's quiesceSince() is set. */
@@ -143,32 +150,16 @@ class BankRecoveryEngine
         int window_acts = 0;
         int rfms_left = 0;
         Cycle next_rfm_at = 0;
-        /** Banks this machine's recovery covers (policy, cached at
-         * alert time; coverage is time-invariant per alert bank). */
-        std::vector<char> covers;
     };
 
-    bool coveredIdle(const dram::DramDevice& dev, const BankState& m,
-                     Cycle now) const;
+    /** Earliest cycle @p bank is idle (kNeverCycle while it is open —
+     * the closing PRE is a wake of its own). */
+    static Cycle bankIdleAt(const dram::Bank& bank, Cycle now);
 
-    /** Earliest cycle coveredIdle() becomes true (kNeverCycle if a
-     * covered bank is open — the closing PRE is a wake of its own). */
-    Cycle coveredIdleAt(const dram::DramDevice& dev, const BankState& m,
-                        Cycle now) const;
-
-    /** Recompute the per-bank gate vectors from the machine states. */
-    void rebuildGates();
-
-    const RecoveryPolicy& policy_;
     const dram::TimingParams& t_;
     int nmit_;
-    dram::RfmScope scope_;
     std::vector<BankState> banks_;
-    /** Per-bank union over the in-flight machines covering the bank. */
-    std::vector<char> act_blocked_;
-    std::vector<char> cas_blocked_;
-    std::vector<Cycle> quiesce_since_;
-    int quiescing_banks_ = 0; ///< banks with quiesce_since_ set
+    int quiescing_banks_ = 0; ///< machines in Quiesce or Pumping
     obs::EventSink* sink_ = nullptr;
     int active_ = 0;
     int peak_concurrent_ = 0;

@@ -1,31 +1,26 @@
 /**
  * @file
- * Recovery policies: how much of a channel an ALERT_n recovery blocks.
+ * Recovery kinds: how much of a channel an ALERT_n recovery blocks.
  *
  * QPRAC's baseline ABO semantics stall the whole channel while the
  * mitigation drains its priority queue (ChannelStall). PRACtical
  * (arXiv:2507.18581) shows that isolating recovery to the offending
- * bank recovers most of the lost performance (BankIsolated); blocking
- * the alerting bank's whole bank group is a conservative middle point
- * (GroupIsolated). "When Mitigations Backfire" (arXiv:2505.10111)
- * shows the flip side: the wider the blocking domain, the larger the
- * cross-bank/cross-channel timing channel a co-located victim can
- * observe — the attack:rfm-probe scenario measures exactly that.
+ * bank recovers most of the lost performance (BankIsolated). "When
+ * Mitigations Backfire" (arXiv:2505.10111) shows the flip side: the
+ * wider the blocking domain, the larger the cross-bank/cross-channel
+ * timing channel a co-located victim can observe — the
+ * attack:rfm-probe scenario measures exactly that.
  *
- * A RecoveryPolicy only decides *scope*: which banks an in-flight
- * recovery for a given alerting bank blocks, and which RFM scope the
- * recovery burst uses. The state machines live in AboEngine
- * (channel-stall) and BankRecoveryEngine (the isolated policies).
+ * The kind is all a controller needs: AboEngine runs the channel-wide
+ * state machine for ChannelStall, and BankRecoveryEngine runs one
+ * machine per alerting bank, blocking only that bank and pumping
+ * per-bank RFMs, for BankIsolated.
  */
 #ifndef QPRAC_CTRL_RECOVERY_RECOVERY_POLICY_H
 #define QPRAC_CTRL_RECOVERY_RECOVERY_POLICY_H
 
-#include <memory>
 #include <string>
 #include <vector>
-
-#include "dram/dram_device.h"
-#include "dram/mitigation_iface.h"
 
 namespace qprac::ctrl {
 
@@ -34,7 +29,6 @@ enum class RecoveryKind
 {
     ChannelStall, ///< QPRAC ABO: the whole channel quiesces (default)
     BankIsolated, ///< PRACtical: only the alerting bank blocks
-    GroupIsolated, ///< middle point: the alerting bank's bank group
 };
 
 /** Canonical scenario-key spelling ("channel-stall", ...). */
@@ -45,43 +39,6 @@ bool parseRecoveryKind(const std::string& text, RecoveryKind* out);
 
 /** All kinds in canonical listing order. */
 const std::vector<RecoveryKind>& recoveryKinds();
-
-/**
- * Scope decisions for one recovery kind. Stateless: the same instance
- * serves every in-flight recovery of a controller.
- */
-class RecoveryPolicy
-{
-  public:
-    virtual ~RecoveryPolicy() = default;
-
-    virtual RecoveryKind kind() const = 0;
-    std::string name() const { return recoveryKindName(kind()); }
-
-    /**
-     * True when the policy runs the channel-wide ABO state machine
-     * (one recovery at a time, global ACT/CAS gating). False = the
-     * per-bank BankRecoveryEngine with one machine per alerting bank.
-     */
-    virtual bool channelScope() const = 0;
-
-    /**
-     * Does an in-flight recovery for @p alert_bank block @p bank?
-     * (Scheduling: no new ACTs while the recovery is active, no CAS
-     * while it pumps RFMs; quiesce: the bank must be precharged.)
-     */
-    virtual bool covers(const dram::DramDevice& dev, int alert_bank,
-                        int bank) const = 0;
-
-    /**
-     * RFM scope of the recovery burst. @p configured is the
-     * controller's AboConfig scope (the channel-stall default).
-     */
-    virtual dram::RfmScope rfmScope(dram::RfmScope configured) const = 0;
-};
-
-/** Build the policy instance for @p kind. */
-std::unique_ptr<RecoveryPolicy> makeRecoveryPolicy(RecoveryKind kind);
 
 } // namespace qprac::ctrl
 

@@ -5,8 +5,8 @@
  *
  * Every evaluated design registers a name, a one-line description and a
  * builder. Consumers look designs up by name (`qprac+proactive-ea`,
- * `moat`, ...) and can select a QPRAC service-queue backend with an
- * `@backend` suffix (`qprac@heap`, `qprac+proactive-ea@coalescing`).
+ * `moat`, ...); a QPRAC service-queue backend is picked with
+ * MitigationParams::backend (the scenario `backend` key), never by name.
  */
 #ifndef QPRAC_MITIGATIONS_FACTORY_H
 #define QPRAC_MITIGATIONS_FACTORY_H
@@ -41,7 +41,7 @@ struct MitigationParams
     int nmit = 1;  ///< RFMs per alert (QPRAC PSQ sizing)
     /** QPRAC PSQ size override (0 = design default of 5). */
     int psq_size = 0;
-    /** QPRAC service-queue backend override (also via "@..." suffix). */
+    /** QPRAC service-queue backend override (unset = design default). */
     std::optional<core::SqBackendKind> backend;
     /** Full QPRAC config; overrides nbo/nmit when set. */
     std::optional<core::QpracConfig> qprac;
@@ -69,16 +69,12 @@ class MitigationRegistry
     /** Remove a registered design; returns false if unknown. */
     bool unregisterDesign(const std::string& name);
 
-    /**
-     * True when @p name is constructible: the base name is registered
-     * and any @backend suffix names a valid service-queue backend.
-     */
+    /** True when @p name is a registered design. */
     bool has(const std::string& name) const;
 
     /**
-     * Construct @p name. A "base@backend" name selects a QPRAC
-     * service-queue backend (see core::parseSqBackend). Returns nullptr
-     * for "none"; fatal() on unknown names or backends.
+     * Construct @p name. Returns nullptr for "none"; fatal() on unknown
+     * names.
      */
     std::unique_ptr<dram::RowhammerMitigation>
     create(const std::string& name, const MitigationParams& params,
@@ -87,10 +83,7 @@ class MitigationRegistry
     /** Registered names, in registration order. */
     std::vector<std::string> names() const { return order_; }
 
-    /**
-     * One-line description of @p name ("" when unknown); an @backend
-     * suffix resolves to the base design's description.
-     */
+    /** One-line description of @p name ("" when unknown). */
     std::string description(const std::string& name) const;
 
   private:
@@ -111,8 +104,7 @@ class MitigationRegistry
  * wrapper). Recognized names: everything MitigationRegistry lists, e.g.
  *  "none", "qprac-noop", "qprac", "qprac+proactive", "qprac+proactive-ea",
  *  "qprac-ideal", "panopticon", "panopticon-fullctr", "uprac-fifo",
- *  "moat", "pride", "mithril" — plus "@linear|heap|coalescing" suffixes
- * on the qprac designs.
+ *  "moat", "pride", "mithril".
  *
  * @param nbo back-off / alert threshold (for threshold-based designs)
  * @param nmit RFMs per alert (QPRAC PSQ sizing)

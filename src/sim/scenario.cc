@@ -186,26 +186,33 @@ constexpr ScenarioKey kKeyTable[] = {
     {.name = "source", .parse = parseSourceKey, .print = print<&Cfg::source>,
      .values = "workload:NAME, trace:PATH or attack:NAME"},
     {.name = "mitigation",
-     .parse = [](Cfg& c, const std::string& v, std::string*) {
+     .parse = [](Cfg& c, const std::string& v, std::string* why) {
          const std::string m = trimmed(v);
+         if (m.find('@') != std::string::npos)
+             return reject(why, "design names take no @backend suffix; "
+                                "pick the queue with backend=");
          if (!mitigations::MitigationRegistry::instance().has(m))
              return false;
          c.mitigation = m;
          return true;
      },
      .print = print<&Cfg::mitigation>, .flag = "--mitigation",
-     .values = "a design name, e.g. qprac@heap (--list-designs)"},
+     .values = "a design name, e.g. qprac+proactive-ea (--list-designs)"},
+    // One spelling per queue, so each design has one hash: the linear
+    // CAM (and its aliases) is the default "", the rest canonical.
     {.name = "backend",
      .parse = [](Cfg& c, const std::string& v, std::string*) {
          const std::string b = trimmed(v);
-         core::SqBackendKind kind;
+         core::SqBackendKind kind = core::SqBackendKind::Linear;
          if (!b.empty() && !core::parseSqBackend(b, &kind))
              return false;
-         c.backend = b;
+         c.backend = kind == core::SqBackendKind::Linear
+                         ? ""
+                         : core::sqBackendName(kind);
          return true;
      },
      .print = print<&Cfg::backend>, .flag = "--backend",
-     .values = "linear, heap or coalescing (empty = default)"},
+     .values = "linear or coalescing (empty = linear)"},
     {.name = "psq_size", .parse = number<&Cfg::psq_size, 0, 1024>,
      .print = print<&Cfg::psq_size>, .flag = "--psq-size",
      .values = "an integer in [0, 1024] (0 = design default)"},
@@ -219,7 +226,7 @@ constexpr ScenarioKey kKeyTable[] = {
      .parse = named<ctrl::RecoveryKind, &Cfg::recovery,
                     ctrl::parseRecoveryKind, ctrl::recoveryKindName>,
      .print = print<&Cfg::recovery>, .flag = "--recovery",
-     .values = "channel-stall, bank-isolated or group-isolated"},
+     .values = "channel-stall or bank-isolated"},
     {.name = "channels", .parse = number<&Cfg::channels, 1, 64, true>,
      .print = print<&Cfg::channels>, .flag = "--channels",
      .values = "a power of two in [1, 64]"},
@@ -318,7 +325,7 @@ constexpr ScenarioKey kKeyTable[] = {
          return true;
      },
      .print = print<&Cfg::trace_out>, .neutral = true,
-     .values = "a path (default qprac_trace-<hash>.json)"},
+     .values = "a path (default qprac_trace-<config digest>.json)"},
     {.name = "metrics-interval",
      .parse = numberOr<&Cfg::metrics_interval, kOff, 1, 1'000'000'000>,
      .print = printOr<&Cfg::metrics_interval, kOff>, .neutral = true,
@@ -1044,12 +1051,14 @@ ScenarioRegistry::run(const ScenarioConfig& cfg) const
             return;
         res.obs = recorder->summary();
         if (recorder->tracing()) {
-            // Default path keyed by the scenario hash: sweep points
-            // racing on one directory never collide (and identical
-            // configs produce identical traces anyway).
+            // Default path keyed by a digest of every key, neutral
+            // ones included: sweep points that differ only in trace,
+            // skip or threads are distinct points with distinct
+            // traces. Only identical configs share a file, and they
+            // write identical traces.
             const std::string path =
                 cfg.trace_out.empty()
-                    ? strCat("qprac_trace-", scenarioHashHex(cfg),
+                    ? strCat("qprac_trace-", hex64(fnv1a64(cfg.toIni())),
                              ".json")
                     : cfg.trace_out;
             std::string werr;

@@ -14,8 +14,9 @@
  * tools, benches and tests previously each wired up by hand.
  *
  * A SweepSpec enumerates axes over those keys
- * (`psq_size=1:9`, `backend=linear,heap`) and runSweep() executes the
- * cross-product in parallel with deterministic result ordering.
+ * (`psq_size=1:9`, `backend=linear,coalescing`) and runSweep()
+ * executes the cross-product in parallel with deterministic result
+ * ordering.
  * Results are emitted through one structured layer: ScenarioResult
  * carries a unified StatSet plus JSON/CSV serialization.
  */
@@ -74,7 +75,7 @@ struct ScenarioConfig
 
     // --- design under test -------------------------------------------
     std::string mitigation = "qprac+proactive-ea";
-    std::string backend; ///< QPRAC service-queue backend ("" = default)
+    std::string backend; ///< QPRAC service-queue backend ("" = linear)
     int psq_size = 0;    ///< PSQ entries per bank (0 = design default)
     int nbo = 32;        ///< Back-Off threshold
     int nmit = 1;        ///< RFMs per alert

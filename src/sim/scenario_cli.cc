@@ -101,8 +101,8 @@ listDesigns()
     for (const auto& name : registry.names())
         t.addRow({name, registry.description(name)});
     out += t.toString();
-    out += "\nqprac designs accept an @backend suffix "
-           "(linear | heap | coalescing), e.g. qprac@heap.\n";
+    out += "\nqprac designs pick their service queue with --backend "
+           "(linear | coalescing).\n";
     return out;
 }
 

@@ -81,12 +81,18 @@ scenarioHash(const ScenarioConfig& cfg)
 }
 
 std::string
-scenarioHashHex(const ScenarioConfig& cfg)
+hex64(std::uint64_t v)
 {
     char buf[24];
     std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(scenarioHash(cfg)));
+                  static_cast<unsigned long long>(v));
     return buf;
+}
+
+std::string
+scenarioHashHex(const ScenarioConfig& cfg)
+{
+    return hex64(scenarioHash(cfg));
 }
 
 } // namespace qprac::sim

@@ -66,6 +66,9 @@ std::string scenarioHashHex(const ScenarioConfig& cfg);
 /** FNV-1a 64 over raw bytes (exposed for tests). */
 std::uint64_t fnv1a64(const std::string& bytes);
 
+/** @p v as 16 lowercase hex digits. */
+std::string hex64(std::uint64_t v);
+
 } // namespace qprac::sim
 
 #endif // QPRAC_SIM_SCENARIO_HASH_H

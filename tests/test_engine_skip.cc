@@ -243,8 +243,7 @@ TEST(EngineSkip, ByteIdenticalUnderRecoveryPolicies)
 {
     // Alert-active (low NBO) so recoveries actually run: skipping must
     // wake for every quiesce / pump transition or these diverge.
-    for (const char* recovery :
-         {"channel-stall", "bank-isolated", "group-isolated"}) {
+    for (const char* recovery : {"channel-stall", "bank-isolated"}) {
         ScenarioConfig cfg = baseConfig(2, "510.parest_r");
         cfg.nbo = 8;
         cfg.insts = 20'000;
@@ -292,14 +291,11 @@ TEST(EngineSkip, ByteIdenticalOnAttackFamilies)
     const std::vector<std::uint64_t> recovery_digests = {
         2121862921246866431u,  10945422127441916070u, // rfm-probe
         3127137722065421590u,  6063986030291935136u,
-        3127137722065421590u,  6063986030291935136u,
         12114524010408136342u, 11973657305706015032u, // recovery-dos
-        7882161765853646914u,  357657339462825894u,
         7882161765853646914u,  357657339462825894u};
     std::size_t i = 0;
     for (const char* source : {"attack:rfm-probe", "attack:recovery-dos"})
-        for (const char* recovery :
-             {"channel-stall", "bank-isolated", "group-isolated"})
+        for (const char* recovery : {"channel-stall", "bank-isolated"})
             for (const char* cu : {"inline", "queued"})
                 rows.push_back({{{"source", source},
                                  {"recovery", recovery},

@@ -298,27 +298,26 @@ TEST(RegistryTest, ListsDesignsWithDescriptions)
         EXPECT_FALSE(reg.description(name).empty()) << name;
     }
     EXPECT_FALSE(reg.has("no-such-design"));
-    // has()/description() agree with create() on suffixed names.
-    EXPECT_TRUE(reg.has("qprac@heap"));
-    EXPECT_FALSE(reg.has("qprac@btree"));
-    EXPECT_EQ(reg.description("qprac@heap"), reg.description("qprac"));
-    EXPECT_TRUE(reg.description("qprac@btree").empty());
+    // A backend is a parameter, never part of a name.
+    EXPECT_FALSE(reg.has("qprac@coalescing"));
+    EXPECT_TRUE(reg.description("qprac@coalescing").empty());
 }
 
-TEST(RegistryTest, BackendSuffixSelectsServiceQueue)
+TEST(RegistryTest, BackendParamSelectsServiceQueue)
 {
     PracCounters c(2, 256);
     MitigationParams p;
     p.nbo = 32;
-    for (const char* suffix : {"linear", "heap", "coalescing"}) {
-        auto m = MitigationRegistry::instance().create(
-            std::string("qprac@") + suffix, p, &c);
-        ASSERT_NE(m, nullptr) << suffix;
+    for (auto kind : qprac::core::allSqBackends()) {
+        p.backend = kind;
+        auto m = MitigationRegistry::instance().create("qprac", p, &c);
+        const std::string name = qprac::core::sqBackendName(kind);
+        ASSERT_NE(m, nullptr) << name;
         // Non-default backends surface in the design label.
-        if (std::string(suffix) == "linear")
+        if (kind == qprac::core::SqBackendKind::Linear)
             EXPECT_EQ(m->name(), "QPRAC");
         else
-            EXPECT_EQ(m->name(), std::string("QPRAC@") + suffix);
+            EXPECT_EQ(m->name(), "QPRAC@" + name);
         for (int i = 0; i < 20; ++i)
             act(c, *m, 0, 8 * (i % 3));
         m->onRfm(0, RfmScope::AllBank, true, 0);
@@ -331,11 +330,12 @@ TEST(RegistryTest, ParamsOverridePsqSizeAndBackend)
     MitigationParams p;
     p.nbo = 8;
     p.psq_size = 3;
-    p.backend = qprac::core::SqBackendKind::Heap;
+    p.backend = qprac::core::SqBackendKind::Coalescing;
     auto m = MitigationRegistry::instance().create("qprac", p, &c);
     ASSERT_NE(m, nullptr);
-    auto* q = dynamic_cast<qprac::core::QpracHeap*>(m.get());
-    ASSERT_NE(q, nullptr) << "backend override must select QpracT<Heap>";
+    auto* q = dynamic_cast<qprac::core::QpracCoalescing*>(m.get());
+    ASSERT_NE(q, nullptr)
+        << "backend override must select QpracT<CoalescingQueue>";
     EXPECT_EQ(q->config().psq_size, 3);
     EXPECT_EQ(q->config().nbo, 8);
 }
@@ -363,8 +363,8 @@ TEST(RegistryTest, UnknownNamesAreFatal)
         { MitigationRegistry::instance().create("no-such", p, &c); },
         ::testing::ExitedWithCode(1), "unknown mitigation");
     EXPECT_EXIT(
-        { MitigationRegistry::instance().create("qprac@btree", p, &c); },
-        ::testing::ExitedWithCode(1), "unknown service-queue backend");
+        { MitigationRegistry::instance().create("qprac@linear", p, &c); },
+        ::testing::ExitedWithCode(1), "unknown mitigation 'qprac@linear'");
 }
 
 TEST(RegistryTest, CustomDesignsCanRegister)

@@ -327,6 +327,42 @@ TEST(ObsScenario, TraceBytesIdenticalAcrossEngineGrid)
     EXPECT_FALSE(reference.empty());
 }
 
+TEST(ObsScenario, DefaultTracePathsNeverCollideAcrossSweepPoints)
+{
+    // Points that differ only in hash-neutral keys (here trace) share
+    // a scenario hash; the default trace name must still tell them
+    // apart, or concurrent points overwrite one file and both report
+    // it. Each point's file must hold its own trace: the bytes a solo
+    // run of that point writes.
+    ScenarioConfig base = tracedConfig("off", "");
+    base.threads = 2;
+    sim::SweepSpec spec;
+    std::string err;
+    ASSERT_TRUE(spec.add("trace=cmd,abo", &err)) << err;
+    const auto points = sim::runSweep(base, spec, &err);
+    ASSERT_EQ(points.size(), 2u) << err;
+    std::vector<std::string> paths;
+    for (const auto& p : points) {
+        ASSERT_TRUE(p.result.obs != nullptr);
+        ASSERT_FALSE(p.result.obs->trace_path.empty());
+        paths.push_back(p.result.obs->trace_path);
+    }
+    EXPECT_NE(paths[0], paths[1]);
+    std::vector<std::string> bytes;
+    for (const auto& path : paths)
+        bytes.push_back(readFile(path));
+    for (const auto& path : paths)
+        std::remove(path.c_str());
+
+    const std::string solo = testing::TempDir() + "obs_solo.json";
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const std::string& trace = points[i].overrides[0].second;
+        sim::runScenario(tracedConfig(trace, solo));
+        EXPECT_TRUE(bytes[i] == readFile(solo)) << "trace=" << trace;
+    }
+    std::remove(solo.c_str());
+}
+
 TEST(ObsScenario, TracingDoesNotChangeTheResult)
 {
     const std::string path = testing::TempDir() + "obs_neutral.json";

@@ -15,6 +15,7 @@
 #include "core/psq.h"
 #include "core/qprac.h"
 #include "dram/prac_counters.h"
+#include "reference_queue.h"
 #include "security/prac_model.h"
 
 using namespace qprac;
@@ -23,6 +24,7 @@ using core::Qprac;
 using core::QpracConfig;
 using dram::PracCounters;
 using dram::RfmScope;
+using test::ReferenceQueue;
 
 /**
  * Property 1 (§III-B3): under arbitrary traffic, whenever the PSQ is
@@ -185,12 +187,13 @@ INSTANTIATE_TEST_SUITE_P(Capacities, PsqAdmissionProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 12, 16, 32));
 
 /**
- * Property 6 (backend equivalence): LinearCamQueue and HeapQueue are
- * decision-equivalent. Fed an identical random activation stream —
- * including interleaved mitigations (remove-top, the way QPRAC drains
- * the queue) — both backends return the same insert outcome and expose
- * the same top/min/max/membership at every step. This is what makes the
- * backends interchangeable under QPRAC's security argument: the proof
+ * Property 6 (backend equivalence): LinearCamQueue is
+ * decision-equivalent to the contract's reference model
+ * (tests/reference_queue.h). Fed an identical random activation stream
+ * — including interleaved mitigations (remove-top, the way QPRAC
+ * drains the queue) — both return the same insert outcome and expose
+ * the same top/min/max/membership at every step. This is what lets any
+ * backend stand in under QPRAC's security argument: the proof
  * constrains decisions, not data structures.
  */
 class BackendEquivalence : public ::testing::TestWithParam<int>
@@ -203,50 +206,51 @@ TEST_P(BackendEquivalence, IdenticalDecisionsOnRandomStreams)
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         Rng rng(seed * 7919 + static_cast<std::uint64_t>(capacity));
         core::LinearCamQueue linear(capacity);
-        core::HeapQueue heap(capacity);
+        ReferenceQueue ref(capacity);
         std::map<int, ActCount> counts;
 
         for (int step = 0; step < 8000; ++step) {
             if (rng.nextBool(0.03)) {
-                // Mitigation: both backends must pick the same victim.
+                // Mitigation: both queues must pick the same victim.
                 const core::SqEntry* lt = linear.top();
-                const core::SqEntry* ht = heap.top();
-                ASSERT_EQ(lt == nullptr, ht == nullptr);
+                const core::SqEntry* rt = ref.top();
+                ASSERT_EQ(lt == nullptr, rt == nullptr);
                 if (lt) {
-                    ASSERT_EQ(lt->row, ht->row) << "step " << step;
-                    ASSERT_EQ(lt->count, ht->count);
-                    counts[lt->row] = 0; // PRAC reset
-                    ASSERT_TRUE(linear.remove(lt->row));
-                    ASSERT_TRUE(heap.remove(ht->row));
+                    ASSERT_EQ(lt->row, rt->row) << "step " << step;
+                    ASSERT_EQ(lt->count, rt->count);
+                    const int row = lt->row;
+                    counts[row] = 0; // PRAC reset
+                    ASSERT_TRUE(linear.remove(row));
+                    ASSERT_TRUE(ref.remove(row));
                 }
                 continue;
             }
             int row = static_cast<int>(rng.nextBelow(48));
             ActCount c = ++counts[row];
             core::PsqInsert lr = linear.onActivate(row, c);
-            core::PsqInsert hr = heap.onActivate(row, c);
-            ASSERT_EQ(lr, hr) << "step " << step << " row " << row
+            core::PsqInsert rr = ref.onActivate(row, c);
+            ASSERT_EQ(lr, rr) << "step " << step << " row " << row
                               << " count " << c;
-            ASSERT_EQ(linear.size(), heap.size());
-            ASSERT_EQ(linear.minCount(), heap.minCount());
-            ASSERT_EQ(linear.maxCount(), heap.maxCount());
-            ASSERT_EQ(linear.contains(row), heap.contains(row));
-            ASSERT_EQ(linear.countOf(row), heap.countOf(row));
+            ASSERT_EQ(linear.size(), ref.size());
+            ASSERT_EQ(linear.minCount(), ref.minCount());
+            ASSERT_EQ(linear.maxCount(), ref.maxCount());
+            ASSERT_EQ(linear.contains(row), ref.contains(row));
+            ASSERT_EQ(linear.countOf(row), ref.countOf(row));
         }
 
         // Final state: identical membership, count for count.
         auto ls = linear.snapshot();
-        auto hs = heap.snapshot();
-        ASSERT_EQ(ls.size(), hs.size());
+        auto rs = ref.snapshot();
+        ASSERT_EQ(ls.size(), rs.size());
         auto byRow = [](const core::SqEntry& a, const core::SqEntry& b) {
             return a.row < b.row;
         };
         std::sort(ls.begin(), ls.end(), byRow);
-        std::sort(hs.begin(), hs.end(), byRow);
+        std::sort(rs.begin(), rs.end(), byRow);
         for (std::size_t i = 0; i < ls.size(); ++i) {
-            ASSERT_EQ(ls[i].row, hs[i].row);
-            ASSERT_EQ(ls[i].count, hs[i].count);
-            ASSERT_EQ(ls[i].seq, hs[i].seq);
+            ASSERT_EQ(ls[i].row, rs[i].row);
+            ASSERT_EQ(ls[i].count, rs[i].count);
+            ASSERT_EQ(ls[i].seq, rs[i].seq);
         }
     }
 }
@@ -254,11 +258,106 @@ TEST_P(BackendEquivalence, IdenticalDecisionsOnRandomStreams)
 INSTANTIATE_TEST_SUITE_P(Capacities, BackendEquivalence,
                          ::testing::Values(1, 2, 5, 16, 64, 256));
 
+namespace {
+
 /**
- * Property 7: the full QPRAC engine produces identical mitigation
- * behaviour over the Linear and Heap backends — same alerts, same
- * mitigation counts, same per-bank top counts — on a random stream with
- * RFM/REF opportunities mixed in.
+ * QPRAC's opportunistic + energy-aware proactive policy (§III-B to
+ * §III-D) restated over one ReferenceQueue per bank: the independent
+ * engine Property 7 holds Qprac against.
+ */
+class ReferenceQprac
+{
+  public:
+    ReferenceQprac(const QpracConfig& cfg, PracCounters* counters)
+        : cfg_(cfg), counters_(counters),
+          over_(static_cast<std::size_t>(counters->numBanks()), 0)
+    {
+        for (int b = 0; b < counters->numBanks(); ++b)
+            queues_.emplace_back(cfg.psq_size);
+    }
+
+    void onActivate(int bank, int row, ActCount count)
+    {
+        insert(bank, row, count);
+        char& over = over_[static_cast<std::size_t>(bank)];
+        if (count >= static_cast<ActCount>(cfg_.nbo) && !over) {
+            over = 1;
+            ++stats.alerts;
+        }
+    }
+
+    /** Opportunistic: every RFM'd bank mitigates its top entry. */
+    void onRfm(int bank)
+    {
+        if (mitigateTop(bank, 0))
+            ++stats.rfm_mitigations;
+    }
+
+    /** Energy-aware proactive: mitigate on REF only at >= NPRO. */
+    void onRefresh(int bank)
+    {
+        if (mitigateTop(bank, static_cast<ActCount>(cfg_.npro)))
+            ++stats.proactive_mitigations;
+    }
+
+    bool wantsAlert() const { return alertingBank() >= 0; }
+
+    int alertingBank() const
+    {
+        auto it = std::find(over_.begin(), over_.end(), 1);
+        return it == over_.end() ? -1
+                                 : static_cast<int>(it - over_.begin());
+    }
+
+    ActCount topCount(int bank) const
+    {
+        return queues_[static_cast<std::size_t>(bank)].maxCount();
+    }
+
+    dram::MitigationStats stats;
+
+  private:
+    void insert(int bank, int row, ActCount count)
+    {
+        const core::PsqInsert r =
+            queues_[static_cast<std::size_t>(bank)].onActivate(row, count);
+        if (r == core::PsqInsert::Inserted || r == core::PsqInsert::Evicted)
+            ++stats.psq_insertions;
+        if (r == core::PsqInsert::Evicted)
+            ++stats.psq_evictions;
+    }
+
+    bool mitigateTop(int bank, ActCount min_count)
+    {
+        ReferenceQueue& q = queues_[static_cast<std::size_t>(bank)];
+        const core::SqEntry* top = q.top();
+        if (!top || top->count < min_count)
+            return false;
+        const int row = top->row;
+        PracCounters::VictimInfo victims[16];
+        const int nv = counters_->mitigate(bank, row, victims);
+        q.remove(row);
+        // Transitive attacks: refreshed victims may now qualify.
+        for (int i = 0; i < nv; ++i)
+            insert(bank, victims[i].row, victims[i].count);
+        over_[static_cast<std::size_t>(bank)] =
+            q.maxCount() >= static_cast<ActCount>(cfg_.nbo);
+        return true;
+    }
+
+    QpracConfig cfg_;
+    PracCounters* counters_;
+    std::vector<ReferenceQueue> queues_;
+    std::vector<char> over_; ///< per bank: top count >= NBO
+};
+
+} // namespace
+
+/**
+ * Property 7: the full QPRAC engine over the linear CAM agrees with
+ * the reference engine — same alerts, same mitigation counts, same
+ * per-bank top counts — on a random stream with RFM/REF opportunities
+ * mixed in.
  */
 TEST(Properties, QpracEngineAgreesAcrossEquivalentBackends)
 {
@@ -266,36 +365,34 @@ TEST(Properties, QpracEngineAgreesAcrossEquivalentBackends)
     PracCounters c1(2, 1024), c2(2, 1024);
     QpracConfig cfg = QpracConfig::proactiveEa(16, 1);
     Qprac linear(cfg, &c1);
-    QpracConfig hcfg = cfg;
-    hcfg.backend = core::SqBackendKind::Heap;
-    core::QpracHeap heap(hcfg, &c2);
+    ReferenceQprac ref(cfg, &c2);
 
     for (int step = 0; step < 20000; ++step) {
         int bank = static_cast<int>(rng.nextBelow(2));
         if (rng.nextBool(0.01)) {
             linear.onRefresh(bank, 0);
-            heap.onRefresh(bank, 0);
+            ref.onRefresh(bank);
         } else if (rng.nextBool(0.02)) {
             bool alerting = linear.alertingBank() == bank;
-            ASSERT_EQ(alerting, heap.alertingBank() == bank);
+            ASSERT_EQ(alerting, ref.alertingBank() == bank);
             linear.onRfm(bank, RfmScope::AllBank, alerting, 0);
-            heap.onRfm(bank, RfmScope::AllBank, alerting, 0);
+            ref.onRfm(bank);
         } else {
             int row = static_cast<int>(rng.nextBelow(64)) * 8;
             ActCount a = c1.onActivate(bank, row);
             ActCount b = c2.onActivate(bank, row);
             ASSERT_EQ(a, b);
             linear.onActivate(bank, row, a, 0);
-            heap.onActivate(bank, row, b, 0);
+            ref.onActivate(bank, row, b);
         }
-        ASSERT_EQ(linear.wantsAlert(), heap.wantsAlert()) << step;
-        ASSERT_EQ(linear.topCount(bank), heap.topCount(bank)) << step;
+        ASSERT_EQ(linear.wantsAlert(), ref.wantsAlert()) << step;
+        ASSERT_EQ(linear.topCount(bank), ref.topCount(bank)) << step;
     }
-    EXPECT_EQ(linear.stats().alerts, heap.stats().alerts);
-    EXPECT_EQ(linear.stats().rfm_mitigations, heap.stats().rfm_mitigations);
+    EXPECT_EQ(linear.stats().alerts, ref.stats.alerts);
+    EXPECT_EQ(linear.stats().rfm_mitigations, ref.stats.rfm_mitigations);
     EXPECT_EQ(linear.stats().proactive_mitigations,
-              heap.stats().proactive_mitigations);
-    EXPECT_EQ(linear.stats().psq_insertions, heap.stats().psq_insertions);
-    EXPECT_EQ(linear.stats().psq_evictions, heap.stats().psq_evictions);
+              ref.stats.proactive_mitigations);
+    EXPECT_EQ(linear.stats().psq_insertions, ref.stats.psq_insertions);
+    EXPECT_EQ(linear.stats().psq_evictions, ref.stats.psq_evictions);
     EXPECT_GT(linear.stats().rfm_mitigations, 0u);
 }

@@ -1,11 +1,11 @@
 /**
  * @file
  * Unit and integration tests for the recovery subsystem
- * (ctrl/recovery): policy parsing and coverage semantics, the per-bank
+ * (ctrl/recovery): kind parsing and coverage semantics, the per-bank
  * BankRecoveryEngine protocol (window budget, quiesce, per-bank RFMs,
  * per-bank ABODelay, alert-storm overlap), and the end-to-end
  * properties the recovery attack scenarios are built on (leakage and
- * DoS orderings across policies).
+ * DoS orderings across recovery kinds).
  */
 #include <gtest/gtest.h>
 
@@ -52,57 +52,63 @@ hammer(DramDevice& dev, int bank, int row, int count, Cycle* now)
 
 } // namespace
 
-// --- RecoveryPolicy ----------------------------------------------------
+// --- Recovery kinds ----------------------------------------------------
 
 TEST(RecoveryPolicyTest, KindNamesRoundTrip)
 {
+    ASSERT_EQ(ctrl::recoveryKinds().size(), 2u);
     for (RecoveryKind kind : ctrl::recoveryKinds()) {
         RecoveryKind parsed;
         ASSERT_TRUE(
             ctrl::parseRecoveryKind(ctrl::recoveryKindName(kind),
                                     &parsed));
         EXPECT_EQ(parsed, kind);
-        EXPECT_EQ(ctrl::makeRecoveryPolicy(kind)->kind(), kind);
     }
     RecoveryKind kind;
     EXPECT_FALSE(ctrl::parseRecoveryKind("channel", &kind));
     EXPECT_FALSE(ctrl::parseRecoveryKind("", &kind));
+    // The retired bank-group middle point is a different design, not
+    // an alias of bank-isolated.
+    EXPECT_FALSE(ctrl::parseRecoveryKind("group-isolated", &kind));
 }
 
 TEST(RecoveryPolicyTest, CoverageSemantics)
 {
     TimingParams t = TimingParams::ddr5Prac();
     DramDevice dev(org(), t); // 2 ranks x 2 groups x 2 banks = 8 banks
-    auto stall =
-        ctrl::makeRecoveryPolicy(RecoveryKind::ChannelStall);
-    auto bank = ctrl::makeRecoveryPolicy(RecoveryKind::BankIsolated);
-    auto group =
-        ctrl::makeRecoveryPolicy(RecoveryKind::GroupIsolated);
+    Qprac q(QpracConfig::base(2, 1), &dev.pracCounters());
+    dev.setMitigation(&q);
 
-    EXPECT_TRUE(stall->channelScope());
-    EXPECT_FALSE(bank->channelScope());
-    EXPECT_FALSE(group->channelScope());
+    AboConfig cfg;
+    AboEngine stall(cfg, t, dev.numBanks());
+    EXPECT_TRUE(stall.channelScope());
+    EXPECT_EQ(stall.bankRecovery(), nullptr);
+    cfg.recovery = RecoveryKind::BankIsolated;
+    AboEngine abo(cfg, t, dev.numBanks());
+    EXPECT_FALSE(abo.channelScope());
 
-    // Alert on bank 0 (rank 0, group 0, index 0).
-    for (int b = 0; b < dev.numBanks(); ++b) {
-        EXPECT_TRUE(stall->covers(dev, 0, b));
-        EXPECT_EQ(bank->covers(dev, 0, b), b == 0);
-        // Group 0 of rank 0 is banks {0, 1}.
-        EXPECT_EQ(group->covers(dev, 0, b), b == 0 || b == 1);
+    // Alert on bank 0 (rank 0, group 0, index 0), window budget spent:
+    // bank 0 alone blocks — not its bank group, not the same
+    // coordinates one rank over.
+    Cycle now = 0;
+    hammer(dev, 0, 100, 2, &now);
+    abo.tick(dev, now);
+    for (int i = 0; i < t.abo_act_max; ++i)
+        abo.noteActIssued(0);
+    for (int b = 0; b < dev.numBanks(); ++b)
+        EXPECT_EQ(abo.allowAct(b), b != 0) << b;
+
+    // The pump issues a per-bank RFM regardless of the configured
+    // channel-stall scope (AllBank): bank 1 is never blocked by it.
+    abo.tick(dev, now + 1); // quiesce
+    abo.tick(dev, now + 2); // pumping
+    abo.tick(dev, now + 3); // RFM
+    EXPECT_EQ(dev.stats().rfms, 1u);
+    for (int b = 1; b < dev.numBanks(); ++b) {
+        EXPECT_TRUE(dev.bank(b).idleAt(now + 3)) << b;
+        EXPECT_TRUE(abo.allowCas(b)) << b;
     }
-    // Same coordinates one rank over must not be covered.
-    const int other_rank_bank = dev.organization().banksPerRank();
-    EXPECT_FALSE(bank->covers(dev, 0, other_rank_bank));
-    EXPECT_FALSE(group->covers(dev, 0, other_rank_bank));
-
-    // Isolated recoveries pump per-bank RFMs regardless of the
-    // configured channel-stall scope.
-    EXPECT_EQ(stall->rfmScope(dram::RfmScope::AllBank),
-              dram::RfmScope::AllBank);
-    EXPECT_EQ(bank->rfmScope(dram::RfmScope::AllBank),
-              dram::RfmScope::PerBank);
-    EXPECT_EQ(group->rfmScope(dram::RfmScope::AllBank),
-              dram::RfmScope::PerBank);
+    EXPECT_FALSE(abo.allowCas(0));
 }
 
 // --- Per-bank engine behind AboEngine ----------------------------------

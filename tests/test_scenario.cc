@@ -160,7 +160,7 @@ TEST(ScenarioConfigTest, RoundTripIsIdentity)
     ScenarioConfig cfg;
     std::string err;
     ASSERT_TRUE(cfg.set("source", "attack:perf", &err)) << err;
-    ASSERT_TRUE(cfg.set("mitigation", "qprac@heap", &err)) << err;
+    ASSERT_TRUE(cfg.set("mitigation", "qprac", &err)) << err;
     ASSERT_TRUE(cfg.set("backend", "coalescing", &err)) << err;
     ASSERT_TRUE(cfg.set("psq_size", "7", &err)) << err;
     ASSERT_TRUE(cfg.set("nbo", "64", &err)) << err;
@@ -432,11 +432,11 @@ TEST(SweepTest, ParsesListsAndRanges)
     SweepAxis axis;
     std::string err;
     ASSERT_TRUE(
-        SweepAxis::parse("backend=linear,heap,coalescing", &axis, &err))
+        SweepAxis::parse("backend=linear,cnc,coalescing", &axis, &err))
         << err;
     EXPECT_EQ(axis.key, "backend");
     EXPECT_EQ(axis.values,
-              (std::vector<std::string>{"linear", "heap", "coalescing"}));
+              (std::vector<std::string>{"linear", "cnc", "coalescing"}));
     ASSERT_TRUE(SweepAxis::parse("psq_size=1:5", &axis, &err)) << err;
     EXPECT_EQ(axis.values,
               (std::vector<std::string>{"1", "2", "3", "4", "5"}));
@@ -456,7 +456,8 @@ TEST(SweepTest, RejectsMalformedAxes)
     EXPECT_FALSE(SweepAxis::parse("psq_size=", &axis, &err));
     EXPECT_FALSE(SweepAxis::parse("psq_size=5:1", &axis, &err));
     EXPECT_FALSE(SweepAxis::parse("psq_size=1:9:0", &axis, &err));
-    EXPECT_FALSE(SweepAxis::parse("backend=linear,,heap", &axis, &err));
+    EXPECT_FALSE(
+        SweepAxis::parse("backend=linear,,coalescing", &axis, &err));
 
     // A duplicate axis key would silently mislabel the grid.
     SweepSpec spec;
@@ -512,16 +513,16 @@ TEST(SweepTest, EnumeratesCrossProductDeterministically)
     EXPECT_EQ(points[1][0].second, "2");
 
     // Two axes: first axis varies slowest.
-    ASSERT_TRUE(spec.add("backend=linear,heap", &err)) << err;
+    ASSERT_TRUE(spec.add("backend=linear,coalescing", &err)) << err;
     EXPECT_EQ(spec.points(), 6u);
     points = spec.enumerate();
     ASSERT_EQ(points.size(), 6u);
     EXPECT_EQ(points[0][0].second, "1");
     EXPECT_EQ(points[0][1].second, "linear");
     EXPECT_EQ(points[1][0].second, "1");
-    EXPECT_EQ(points[1][1].second, "heap");
+    EXPECT_EQ(points[1][1].second, "coalescing");
     EXPECT_EQ(points[5][0].second, "3");
-    EXPECT_EQ(points[5][1].second, "heap");
+    EXPECT_EQ(points[5][1].second, "coalescing");
 }
 
 TEST(SweepTest, RunSweepKeepsEnumerationOrderAndValidates)

@@ -440,7 +440,7 @@ TEST(QpracSimCli, LegacyFlagsHashLikeTheirSetForm)
     // One non-default value per legacy flag in the key table; the map
     // must cover exactly the flagged rows, so a new flag cannot skip.
     const std::map<std::string, std::string> values = {
-        {"mitigation", "moat"}, {"backend", "heap"},
+        {"mitigation", "moat"}, {"backend", "coalescing"},
         {"psq_size", "3"},      {"nbo", "16"},
         {"nmit", "2"},          {"recovery", "bank-isolated"},
         {"channels", "2"},      {"ranks", "1"},

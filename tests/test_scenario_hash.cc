@@ -143,7 +143,7 @@ TEST(ScenarioHash, ResultBearingKeysEachMoveTheHash)
     const std::vector<std::pair<std::string, std::string>> changes = {
         {"source", "workload:470.lbm"},
         {"mitigation", "moat"},
-        {"backend", "heap"},
+        {"backend", "coalescing"},
         {"psq_size", "9"},
         {"nbo", "16"},
         {"nmit", "2"},
@@ -287,6 +287,37 @@ TEST(ScenarioHash, NeutralRowsLeaveResultsByteIdentical)
                 << key << "=" << value << " moved " << cfg.source;
         }
     }
+}
+
+TEST(ScenarioHash, OneHashPerQueueDesign)
+{
+    // The linear CAM has one spelling in the canonical form (the
+    // default, empty backend), so every way of asking for it — and the
+    // retired, decision-equivalent heap — names one cache entry and
+    // one result.
+    ScenarioConfig linear = propertyPoints()[0];
+    const std::uint64_t hash = scenarioHash(linear);
+    const std::string result = resultOf(linear);
+    for (const char* spelling : {"linear", "cam", "heap"}) {
+        ScenarioConfig cfg = linear;
+        std::string err;
+        ASSERT_TRUE(cfg.set("backend", spelling, &err)) << err;
+        EXPECT_EQ(cfg.backend, "");
+        EXPECT_EQ(scenarioHash(cfg), hash) << spelling;
+        EXPECT_EQ(resultOf(cfg), result) << spelling;
+    }
+    for (const char* spelling : {"coalesce", "cnc"})
+        EXPECT_EQ(scenarioHash(withSets({{"backend", spelling}})),
+                  scenarioHash(withSets({{"backend", "coalescing"}})))
+            << spelling;
+
+    // A backend is never part of a design name, and the bank-group
+    // recovery middle point is gone (not aliased: it blocked more).
+    ScenarioConfig cfg;
+    std::string err;
+    EXPECT_FALSE(cfg.set("mitigation", "qprac@heap", &err));
+    EXPECT_NE(err.find("backend="), std::string::npos) << err;
+    EXPECT_FALSE(cfg.set("recovery", "group-isolated", &err));
 }
 
 TEST(ScenarioHash, OmittedCounterArchKeysLeaveInlineResultsByteIdentical)
