@@ -22,7 +22,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <map>
 
 using namespace qprac;
 using sim::ScenarioConfig;
@@ -59,34 +58,22 @@ main(int argc, char** argv)
         "workload:tpcc64"};
 
     std::string err;
+    std::string set_err;
     std::string srcs;
     for (const auto& s : sources)
         srcs += (srcs.empty() ? "" : ",") + s;
 
     // One insecure baseline per (channels, workload) cell, shared by
-    // both designs (runComparison's base_results sharing, in sweep
-    // form).
-    ScenarioConfig insecure = base;
-    std::string set_err;
-    if (!insecure.set("mitigation", "none", &set_err))
-        fatal(strCat("bad baseline scenario: ", set_err));
-    auto base_points = bench::runSweepAxes(
-        insecure, {"channels=1,2,4", "source=" + srcs}, &cache);
-    std::map<std::string, double> base_ipc; // "channels|source" -> IPC
-    for (const auto& p : base_points)
-        base_ipc[overrideValue(p, "channels") + "|" +
-                 overrideValue(p, "source")] = p.result.sim.ipc_sum;
-
+    // both designs.
+    bench::Baselines baselines(base, {"channels=1,2,4", "source=" + srcs},
+                               &cache);
     auto points = bench::runSweepAxes(
         base, {"channels=1,2,4",
                "mitigation=" + designs[0] + "," + designs[1],
                "source=" + srcs},
         &cache);
-
     auto norm_perf = [&](const SweepPointResult& p) {
-        double b = base_ipc.at(overrideValue(p, "channels") + "|" +
-                               overrideValue(p, "source"));
-        return b > 0 ? p.result.sim.ipc_sum / b : 0.0;
+        return baselines.normPerf(p.result);
     };
 
     bench::ResultSink csv("ablation_channels",

@@ -9,64 +9,37 @@
 #include "bench_common.h"
 
 using namespace qprac;
-using core::QpracConfig;
-using dram::MappingScheme;
-using sim::DesignSpec;
-using sim::ExperimentConfig;
-
-namespace {
-
-sim::SimResult
-runWithMapping(const sim::Workload& wl, const DesignSpec& d,
-               const ExperimentConfig& cfg, MappingScheme scheme)
-{
-    sim::SystemConfig sys = sim::makeSystemConfig(d, cfg);
-    sys.mapping = scheme;
-    std::vector<std::unique_ptr<cpu::TraceSource>> traces;
-    for (int c = 0; c < cfg.num_cores; ++c)
-        traces.push_back(
-            sim::makeTrace(wl, c, cfg.insts_per_core, cfg.seed));
-    sim::System system(sys, d.factory, std::move(traces));
-    return system.run();
-}
-
-} // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
     bench::banner("Ablation", "address mapping: row-major vs bank-striped");
-    ExperimentConfig cfg = bench::experiment();
+    sim::ResultCache cache(bench::cacheDirFromArgs(argc, argv));
 
-    std::vector<std::string> names = {"510.parest_r", "429.mcf",
-                                      "470.lbm", "tpcc64"};
-    DesignSpec base;
-    base.label = "baseline";
-    base.abo.enabled = false;
-    DesignSpec qprac = DesignSpec::qprac(QpracConfig::base(32, 1));
+    std::vector<sim::Workload> workloads;
+    for (const char* name : {"510.parest_r", "429.mcf", "470.lbm", "tpcc64"})
+        workloads.push_back(sim::findWorkload(name));
+    const std::vector<std::string> axes = {
+        bench::sourceAxis(workloads), "mapping=row-major,bank-striped"};
+    const sim::ScenarioConfig base = bench::baseScenario();
+    bench::Baselines baselines(base, axes, &cache);
+    auto points = bench::runSweepAxes(
+        bench::withKey(base, "mitigation", "qprac"), axes, &cache);
 
     Table t({"workload", "scheme", "rbmpki", "norm perf",
              "alerts/tREFI"});
     bench::ResultSink csv("ablation_mapping",
                   {"workload", "scheme", "rbmpki", "norm_perf",
                    "alerts_per_trefi"});
-    for (const auto& name : names) {
-        const auto& wl = sim::findWorkload(name);
-        for (auto scheme :
-             {MappingScheme::RoRaBgBaCo, MappingScheme::RoCoRaBgBa}) {
-            const char* label = scheme == MappingScheme::RoRaBgBaCo
-                                    ? "row-major"
-                                    : "bank-striped";
-            auto b = runWithMapping(wl, base, cfg, scheme);
-            auto q = runWithMapping(wl, qprac, cfg, scheme);
-            double np = b.ipc_sum > 0 ? q.ipc_sum / b.ipc_sum : 0.0;
-            t.addRow({wl.name, label, Table::num(b.rbmpki, 1),
-                      Table::num(np, 3),
-                      Table::num(q.alerts_per_trefi, 3)});
-            csv.addRow({wl.name, label, Table::num(b.rbmpki, 2),
-                        Table::num(np, 4),
-                        Table::num(q.alerts_per_trefi, 4)});
-        }
+    for (const auto& p : points) {
+        const sim::ScenarioResult& q = p.result;
+        const std::string workload = q.config.sourceName();
+        const sim::SimResult& b = baselines.of(q);
+        double np = baselines.normPerf(q);
+        t.addRow({workload, q.config.mapping, Table::num(b.rbmpki, 1),
+                  Table::num(np, 3), Table::num(q.sim.alerts_per_trefi, 3)});
+        csv.addRow({workload, q.config.mapping, Table::num(b.rbmpki, 2),
+                    Table::num(np, 4), Table::num(q.sim.alerts_per_trefi, 4)});
     }
     t.print();
     std::printf("\nTakeaway: bank-striping spreads activations (fewer "

@@ -1,9 +1,10 @@
 /**
  * @file
  * Shared helpers for the figure/table benches, built on the scenario
- * API (sim/scenario.h): the harness config comes from one base
- * ScenarioConfig, workload selection goes through the suite, and every
- * bench emits results through one structured sink (CSV + JSON).
+ * API (sim/scenario.h): every bench runs its grid as sweeps over one
+ * base ScenarioConfig (so `--cache-dir` resumes any of them), pairs
+ * each design point with a shared insecure baseline, and emits results
+ * through one structured sink (CSV + JSON).
  */
 #ifndef QPRAC_BENCH_BENCH_COMMON_H
 #define QPRAC_BENCH_BENCH_COMMON_H
@@ -11,6 +12,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,7 +24,6 @@
 #include "common/parse.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "sim/experiment.h"
 #include "sim/result_cache.h"
 #include "sim/scenario.h"
 #include "sim/workloads.h"
@@ -55,11 +57,15 @@ baseScenario()
     return sim::ScenarioConfig{};
 }
 
-/** Harness config for a bench run, derived from baseScenario(). */
-inline sim::ExperimentConfig
-experiment()
+/** @p base with @p key set to @p value; fatal() on a bad value. */
+inline sim::ScenarioConfig
+withKey(sim::ScenarioConfig base, const std::string& key,
+        const std::string& value)
 {
-    return baseScenario().experiment();
+    std::string err;
+    if (!base.set(key, value, &err))
+        fatal(strCat("bad bench scenario: ", err));
+    return base;
 }
 
 /**
@@ -132,6 +138,102 @@ runSweepAxes(const sim::ScenarioConfig& base,
     if (points.empty())
         fatal(strCat("sweep failed: ", err));
     return points;
+}
+
+/**
+ * Insecure baselines shared by every design point of a bench: one
+ * mitigation=none sweep over the cells that are not part of the
+ * design (@p cell_axes: the workloads, and e.g. the mapping), after
+ * which each design point is normalized against the baseline of its
+ * cell. No baseline is simulated twice, however many designs or
+ * design parameters the bench sweeps.
+ */
+class Baselines
+{
+  public:
+    Baselines(const sim::ScenarioConfig& base,
+              const std::vector<std::string>& cell_axes,
+              sim::ResultCache* cache)
+    {
+        for (const auto& axis : cell_axes)
+            keys_.push_back(axis.substr(0, axis.find('=')));
+        for (const auto& p : runSweepAxes(withKey(base, "mitigation", "none"),
+                                          cell_axes, cache))
+            runs_[cell(p.result.config)] = p.result.sim;
+    }
+
+    /** The baseline run of @p r's cell. */
+    const sim::SimResult& of(const sim::ScenarioResult& r) const
+    {
+        return runs_.at(cell(r.config));
+    }
+
+    /** Weighted speedup of @p r over its cell's baseline. */
+    double normPerf(const sim::ScenarioResult& r) const
+    {
+        const double base_ipc = of(r).ipc_sum;
+        return base_ipc > 0 ? r.sim.ipc_sum / base_ipc : 0.0;
+    }
+
+  private:
+    std::string cell(const sim::ScenarioConfig& cfg) const
+    {
+        std::string out;
+        for (const auto& key : keys_)
+            out += cfg.get(key) + "|";
+        return out;
+    }
+
+    std::vector<std::string> keys_;
+    std::map<std::string, sim::SimResult> runs_;
+};
+
+/** One bench design: its display label and the keys that select it. */
+struct Design
+{
+    std::string label;
+    std::vector<std::pair<std::string, std::string>> keys;
+};
+
+/** Sweep @p axes once per design, over @p base with that design's
+ * keys applied; result i holds design i's points in sweep order. */
+inline std::vector<std::vector<sim::SweepPointResult>>
+runDesigns(const sim::ScenarioConfig& base,
+           const std::vector<Design>& designs,
+           const std::vector<std::string>& axes, sim::ResultCache* cache)
+{
+    std::vector<std::vector<sim::SweepPointResult>> out;
+    for (const auto& d : designs) {
+        sim::ScenarioConfig cfg = base;
+        for (const auto& [key, value] : d.keys)
+            cfg = withKey(cfg, key, value);
+        out.push_back(runSweepAxes(cfg, axes, cache));
+    }
+    return out;
+}
+
+/** The sweep axis over @p workloads ("source=workload:A,..."). */
+inline std::string
+sourceAxis(const std::vector<sim::Workload>& workloads)
+{
+    std::string axis = "source=";
+    for (const auto& w : workloads)
+        axis += (axis.back() == '=' ? "workload:" : ",workload:") + w.name;
+    return axis;
+}
+
+/** The points whose config has @p key set to @p value, in sweep order
+ * (with the workloads as the last axis: one cell's workloads, in
+ * suite order). */
+inline std::vector<const sim::SweepPointResult*>
+where(const std::vector<sim::SweepPointResult>& points,
+      const std::string& key, const std::string& value)
+{
+    std::vector<const sim::SweepPointResult*> out;
+    for (const auto& p : points)
+        if (p.result.config.get(key) == value)
+            out.push_back(&p);
+    return out;
 }
 
 /**
@@ -265,16 +367,37 @@ mergedStats(const std::vector<sim::SweepPointResult>& points)
     return out;
 }
 
-/** Mean slowdown in percent over the memory-intensive subset only. */
+/** Normalized-performance geomean of @p points over their baselines. */
 inline double
-intensiveSlowdownPct(const std::vector<sim::WorkloadRow>& rows, int idx,
-                     double rbmpki_cut = 2.0)
+normPerfGeomean(const std::vector<const sim::SweepPointResult*>& points,
+                const Baselines& base)
 {
     std::vector<double> values;
-    for (const auto& row : rows)
-        if (row.base_rbmpki >= rbmpki_cut)
-            values.push_back(
-                row.designs[static_cast<std::size_t>(idx)].norm_perf);
+    for (const auto* p : points)
+        values.push_back(base.normPerf(p->result));
+    return geomean(values);
+}
+
+/** Mean alerts per tREFI over @p points. */
+inline double
+meanAlerts(const std::vector<const sim::SweepPointResult*>& points)
+{
+    std::vector<double> values;
+    for (const auto* p : points)
+        values.push_back(p->result.sim.alerts_per_trefi);
+    return mean(values);
+}
+
+/** Slowdown in percent over the memory-intensive subset only (baseline
+ * rbmpki at or above @p rbmpki_cut). */
+inline double
+intensiveSlowdownPct(const std::vector<const sim::SweepPointResult*>& points,
+                     const Baselines& base, double rbmpki_cut = 2.0)
+{
+    std::vector<double> values;
+    for (const auto* p : points)
+        if (base.of(p->result).rbmpki >= rbmpki_cut)
+            values.push_back(base.normPerf(p->result));
     if (values.empty())
         return 0.0;
     return slowdownPct(summarizeSeries(std::move(values)).geomean);

@@ -9,15 +9,12 @@
 #include "bench_common.h"
 
 using namespace qprac;
-using core::QpracConfig;
-using sim::DesignSpec;
-using sim::ExperimentConfig;
 
 int
-main()
+main(int argc, char** argv)
 {
     bench::banner("Fig 16", "slowdown vs RFMs per alert (PRAC-1/2/4)");
-    ExperimentConfig cfg = bench::experiment();
+    sim::ResultCache cache(bench::cacheDirFromArgs(argc, argv));
     auto workloads = bench::sweepWorkloads();
     std::printf("workloads=%zu (sweep subset), NBO=32\n\n",
                 workloads.size());
@@ -26,39 +23,27 @@ main()
     bench::ResultSink csv("fig16_rfm_sweep",
                   {"design", "nmit", "slowdown_pct"});
 
-    struct Variant
-    {
-        std::string name;
-        QpracConfig (*make)(int, int);
+    const std::vector<bench::Design> designs = {
+        {"QPRAC", {{"mitigation", "qprac"}}},
+        {"QPRAC+Proactive", {{"mitigation", "qprac+proactive"}}},
+        {"QPRAC+Proactive-EA", {{"mitigation", "qprac+proactive-ea"}}},
+        {"QPRAC-Ideal", {{"mitigation", "qprac-ideal"}}},
     };
-    std::vector<Variant> variants = {
-        {"QPRAC", &QpracConfig::base},
-        {"QPRAC+Proactive", &QpracConfig::proactiveEvery},
-        {"QPRAC+Proactive-EA", &QpracConfig::proactiveEa},
-        {"QPRAC-Ideal", &QpracConfig::idealTopN},
-    };
+    const sim::ScenarioConfig base = bench::baseScenario();
+    const std::string sources = bench::sourceAxis(workloads);
+    bench::Baselines baselines(base, {sources}, &cache);
+    auto points =
+        bench::runDesigns(base, designs, {"nmit=1,2,4", sources}, &cache);
 
-    // One comparison per PRAC level; collate per design afterwards.
-    std::vector<std::vector<double>> slowdowns(
-        variants.size(), std::vector<double>(3, 0.0));
-    const int nmits[3] = {1, 2, 4};
-    for (int n = 0; n < 3; ++n) {
-        std::vector<DesignSpec> designs;
-        for (const auto& v : variants)
-            designs.push_back(DesignSpec::qprac(v.make(32, nmits[n])));
-        auto rows = sim::runComparison(workloads, designs, cfg);
-        for (std::size_t i = 0; i < variants.size(); ++i)
-            slowdowns[i][static_cast<std::size_t>(n)] =
-                sim::meanSlowdownPct(rows, static_cast<int>(i));
-    }
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-        table.addRow({variants[i].name, Table::pct(slowdowns[i][0], 2),
-                      Table::pct(slowdowns[i][1], 2),
-                      Table::pct(slowdowns[i][2], 2)});
-        for (int n = 0; n < 3; ++n)
-            csv.addRow({variants[i].name, std::to_string(nmits[n]),
-                        Table::num(slowdowns[i][static_cast<std::size_t>(n)],
-                                   4)});
+    for (std::size_t d = 0; d < designs.size(); ++d) {
+        std::vector<std::string> cells = {designs[d].label};
+        for (const char* nmit : {"1", "2", "4"}) {
+            double s = bench::slowdownPct(bench::normPerfGeomean(
+                bench::where(points[d], "nmit", nmit), baselines));
+            cells.push_back(Table::pct(s, 2));
+            csv.addRow({designs[d].label, nmit, Table::num(s, 4)});
+        }
+        table.addRow(cells);
     }
     table.print();
     std::printf("\nPaper: 0.8%% / 0.8%% / 0.9%% for QPRAC; 0%% for the "

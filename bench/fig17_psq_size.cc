@@ -9,56 +9,45 @@
 #include "bench_common.h"
 
 using namespace qprac;
-using core::QpracConfig;
-using sim::DesignSpec;
-using sim::ExperimentConfig;
 
 int
-main()
+main(int argc, char** argv)
 {
     bench::banner("Fig 17", "slowdown vs PSQ size x proactive frequency");
-    ExperimentConfig cfg = bench::experiment();
+    sim::ResultCache cache(bench::cacheDirFromArgs(argc, argv));
     auto workloads = bench::sweepWorkloads();
     std::printf("workloads=%zu (sweep subset), NBO=32, PRAC-1\n\n",
                 workloads.size());
 
-    struct Variant
-    {
-        std::string name;
-        bool proactive;
-        int period;
+    auto ea = [](const char* period) {
+        return std::vector<std::pair<std::string, std::string>>{
+            {"mitigation", "qprac+proactive-ea"},
+            {"proactive_period", period}};
     };
-    std::vector<Variant> variants = {
-        {"QPRAC", false, 0},
-        {"EA: 1 per 4 tREFI", true, 4},
-        {"EA: 1 per 2 tREFI", true, 2},
-        {"EA: 1 per 1 tREFI", true, 1},
+    const std::vector<bench::Design> designs = {
+        {"QPRAC", {{"mitigation", "qprac"}}},
+        {"EA: 1 per 4 tREFI", ea("4")},
+        {"EA: 1 per 2 tREFI", ea("2")},
+        {"EA: 1 per 1 tREFI", ea("1")},
     };
+    const sim::ScenarioConfig base = bench::baseScenario();
+    const std::string sources = bench::sourceAxis(workloads);
+    bench::Baselines baselines(base, {sources}, &cache);
+    auto points =
+        bench::runDesigns(base, designs, {"psq_size=1:5", sources}, &cache);
 
     Table table({"psq_size", "QPRAC", "EA/4tREFI", "EA/2tREFI",
                  "EA/1tREFI"});
     bench::ResultSink csv("fig17_psq_size",
                   {"psq_size", "variant", "slowdown_pct"});
-
     for (int size = 1; size <= 5; ++size) {
-        std::vector<DesignSpec> designs;
-        for (const auto& v : variants) {
-            QpracConfig qc = v.proactive ? QpracConfig::proactiveEa(32, 1)
-                                         : QpracConfig::base(32, 1);
-            qc.psq_size = size;
-            if (v.proactive)
-                qc.proactive_period_refs = v.period;
-            DesignSpec d = DesignSpec::qprac(qc);
-            d.label = v.name;
-            designs.push_back(d);
-        }
-        auto rows = sim::runComparison(workloads, designs, cfg);
-        std::vector<std::string> cells = {std::to_string(size)};
-        for (std::size_t i = 0; i < variants.size(); ++i) {
-            double s = sim::meanSlowdownPct(rows, static_cast<int>(i));
+        const std::string sz = std::to_string(size);
+        std::vector<std::string> cells = {sz};
+        for (std::size_t d = 0; d < designs.size(); ++d) {
+            double s = bench::slowdownPct(bench::normPerfGeomean(
+                bench::where(points[d], "psq_size", sz), baselines));
             cells.push_back(Table::pct(s, 2));
-            csv.addRow({std::to_string(size), variants[i].name,
-                        Table::num(s, 4)});
+            csv.addRow({sz, designs[d].label, Table::num(s, 4)});
         }
         table.addRow(cells);
     }

@@ -9,52 +9,45 @@
 #include "bench_common.h"
 
 using namespace qprac;
-using core::QpracConfig;
-using sim::DesignSpec;
-using sim::ExperimentConfig;
 
 int
-main()
+main(int argc, char** argv)
 {
     bench::banner("Fig 18", "slowdown vs Back-Off threshold (NBO)");
-    ExperimentConfig cfg = bench::experiment();
+    sim::ResultCache cache(bench::cacheDirFromArgs(argc, argv));
     auto workloads = bench::sweepWorkloads();
     std::printf("workloads=%zu (sweep subset), PRAC-1\n\n",
                 workloads.size());
 
-    struct Variant
-    {
-        std::string name;
-        QpracConfig (*make)(int, int);
+    const std::vector<bench::Design> designs = {
+        {"QPRAC", {{"mitigation", "qprac"}}},
+        {"QPRAC+Proactive", {{"mitigation", "qprac+proactive"}}},
+        {"QPRAC+Proactive-EA", {{"mitigation", "qprac+proactive-ea"}}},
+        {"QPRAC-Ideal", {{"mitigation", "qprac-ideal"}}},
     };
-    std::vector<Variant> variants = {
-        {"QPRAC", &QpracConfig::base},
-        {"QPRAC+Proactive", &QpracConfig::proactiveEvery},
-        {"QPRAC+Proactive-EA", &QpracConfig::proactiveEa},
-        {"QPRAC-Ideal", &QpracConfig::idealTopN},
-    };
+    const sim::ScenarioConfig base = bench::baseScenario();
+    const std::string sources = bench::sourceAxis(workloads);
+    bench::Baselines baselines(base, {sources}, &cache);
+    auto points = bench::runDesigns(base, designs,
+                                    {"nbo=16,32,64,128", sources}, &cache);
 
     Table table({"NBO", "QPRAC", "+Proactive", "+Pro-EA", "Ideal",
                  "alerts/tREFI(QPRAC)"});
     bench::ResultSink csv("fig18_nbo_sweep",
                   {"nbo", "design", "slowdown_pct", "alerts_per_trefi"});
-
-    for (int nbo : {16, 32, 64, 128}) {
-        std::vector<DesignSpec> designs;
-        for (const auto& v : variants)
-            designs.push_back(DesignSpec::qprac(v.make(nbo, 1)));
-        auto rows = sim::runComparison(workloads, designs, cfg);
-        std::vector<std::string> cells = {std::to_string(nbo)};
-        for (std::size_t i = 0; i < variants.size(); ++i) {
-            double s = sim::meanSlowdownPct(rows, static_cast<int>(i));
+    for (const char* nbo : {"16", "32", "64", "128"}) {
+        std::vector<std::string> cells = {nbo};
+        for (std::size_t d = 0; d < designs.size(); ++d) {
+            auto cell = bench::where(points[d], "nbo", nbo);
+            double s = bench::slowdownPct(
+                bench::normPerfGeomean(cell, baselines));
             cells.push_back(Table::pct(s, 2));
-            csv.addRow({std::to_string(nbo), variants[i].name,
-                        Table::num(s, 4),
-                        Table::num(sim::meanAlertsPerTrefi(
-                                       rows, static_cast<int>(i)),
-                                   4)});
+            csv.addRow({nbo, designs[d].label, Table::num(s, 4),
+                        Table::num(bench::meanAlerts(cell), 4)});
         }
-        cells.push_back(Table::num(sim::meanAlertsPerTrefi(rows, 0), 3));
+        cells.push_back(Table::num(
+            bench::meanAlerts(bench::where(points[0], "nbo", nbo)),
+            3));
         table.addRow(cells);
     }
     table.print();

@@ -4,8 +4,10 @@
  * PrIDE) as the Rowhammer threshold varies (paper §VI-G).
  *
  * Mithril and PrIDE run with conventional DDR5 timings and RFM pacing
- * derived from their security analyses (mitigations/rfm_policy.*);
- * QPRAC+Proactive-EA configures NBO from the §IV model for each TRH.
+ * derived from their security analyses (mitigations/rfm_policy.*), so
+ * each normalizes against a baseline with those timings
+ * (baseline=true); QPRAC+Proactive-EA configures NBO from the §IV
+ * model for each TRH and shares one PRAC-timed baseline per workload.
  *
  * Paper: Mithril drops 69%..10% and PrIDE 54%..7% from TRH 64 to 512,
  * both fine at 1024; QPRAC is flat at 1.0 across all thresholds.
@@ -15,50 +17,74 @@
 #include "security/prac_model.h"
 
 using namespace qprac;
-using core::QpracConfig;
 using security::PracModelConfig;
 using security::PracSecurityModel;
-using sim::DesignSpec;
-using sim::ExperimentConfig;
 
 int
-main()
+main(int argc, char** argv)
 {
     bench::banner("Fig 20", "normalized perf vs TRH: Mithril/PrIDE/QPRAC");
-    ExperimentConfig cfg = bench::experiment();
+    sim::ResultCache cache(bench::cacheDirFromArgs(argc, argv));
     // Dense RFM pacing at low TRH makes each Mithril/PrIDE run ~50x
     // slower than normal; relative slowdowns saturate quickly, so a
     // shorter run and a smaller mix keep this bench tractable.
-    cfg.insts_per_core = std::max<std::uint64_t>(
-        20'000, ExperimentConfig::defaultInstsPerCore() / 4);
+    const std::uint64_t insts = std::max<std::uint64_t>(
+        20'000, sim::ExperimentConfig::defaultInstsPerCore() / 4);
+    const sim::ScenarioConfig base = bench::withKey(
+        bench::baseScenario(), "insts", std::to_string(insts));
     auto workloads = bench::sweepWorkloads();
     if (workloads.size() > 8)
         workloads.resize(8);
     std::printf("workloads=%zu, insts/core=%llu\n\n", workloads.size(),
-                static_cast<unsigned long long>(cfg.insts_per_core));
+                static_cast<unsigned long long>(insts));
 
     PracSecurityModel nbo_model(PracModelConfig::qpracProactive(1));
+    const std::vector<int> trhs = {64, 128, 256, 512, 1024};
+    std::string trh_axis = "nbo=";
+    std::string qprac_nbo_axis = "nbo=";
+    std::vector<int> qprac_nbos;
+    for (int trh : trhs) {
+        qprac_nbos.push_back(std::max(1, nbo_model.maxNboForTrh(trh)));
+        const char* sep = trh == trhs.front() ? "" : ",";
+        trh_axis += strCat(sep, trh);
+        qprac_nbo_axis += strCat(sep, qprac_nbos.back());
+    }
+
+    // nbo doubles as the target TRH of the RFM-paced designs.
+    const std::string sources = bench::sourceAxis(workloads);
+    const std::vector<bench::Design> paced_designs = {
+        {"Mithril", {{"mitigation", "mithril"}, {"baseline", "true"}}},
+        {"PrIDE", {{"mitigation", "pride"}, {"baseline", "true"}}},
+    };
+    auto paced = bench::runDesigns(base, paced_designs, {trh_axis, sources},
+                                   &cache);
+    bench::Baselines baselines(base, {sources}, &cache);
+    auto qprac = bench::runSweepAxes(
+        bench::withKey(base, "mitigation", "qprac+proactive-ea"),
+        {qprac_nbo_axis, sources}, &cache);
 
     Table table({"TRH", "Mithril", "PrIDE", "QPRAC+Pro-EA", "QPRAC NBO"});
     bench::ResultSink csv("fig20_vs_indram",
                   {"trh", "design", "norm_perf"});
-
-    for (int trh : {64, 128, 256, 512, 1024}) {
-        int nbo = std::max(1, nbo_model.maxNboForTrh(trh));
-        std::vector<DesignSpec> designs = {
-            DesignSpec::mithril(trh),
-            DesignSpec::pride(trh),
-            DesignSpec::qprac(QpracConfig::proactiveEa(nbo, 1)),
-        };
-        auto rows = sim::runComparison(workloads, designs, cfg);
-        std::vector<std::string> cells = {std::to_string(trh)};
-        for (std::size_t i = 0; i < designs.size(); ++i) {
-            double np = sim::geomeanNormPerf(rows, static_cast<int>(i));
+    const std::size_t n = workloads.size();
+    for (std::size_t t = 0; t < trhs.size(); ++t) {
+        const std::string trh = std::to_string(trhs[t]);
+        std::vector<std::string> cells = {trh};
+        auto add = [&](const std::string& label, double np) {
             cells.push_back(Table::num(np, 3));
-            csv.addRow({std::to_string(trh), designs[i].label,
-                        Table::num(np, 5)});
+            csv.addRow({trh, label, Table::num(np, 5)});
+        };
+        for (std::size_t d = 0; d < paced.size(); ++d) {
+            std::vector<double> norm;
+            for (const auto* p : bench::where(paced[d], "nbo", trh))
+                norm.push_back(p->result.norm_perf);
+            add(paced_designs[d].label, geomean(norm));
         }
-        cells.push_back(std::to_string(nbo));
+        std::vector<const sim::SweepPointResult*> cell;
+        for (std::size_t w = 0; w < n; ++w)
+            cell.push_back(&qprac[t * n + w]);
+        add("QPRAC+Proactive-EA", bench::normPerfGeomean(cell, baselines));
+        cells.push_back(std::to_string(qprac_nbos[t]));
         table.addRow(cells);
     }
     table.print();

@@ -13,28 +13,22 @@
 #include "bench_common.h"
 
 #include "energy/energy_model.h"
-#include "mitigations/moat.h"
 
 using namespace qprac;
-using core::QpracConfig;
 using energy::computeEnergy;
-using mitigations::MoatConfig;
-using sim::DesignSpec;
-using sim::ExperimentConfig;
 
 namespace {
 
 double
-meanEnergyOverheadPct(const std::vector<sim::WorkloadRow>& rows, int idx)
+meanEnergyOverheadPct(const std::vector<const sim::SweepPointResult*>& cell,
+                      const bench::Baselines& baselines)
 {
     dram::Organization org;
     auto timing = dram::TimingParams::ddr5Prac();
     std::vector<double> overheads;
-    for (const auto& row : rows) {
-        auto base = computeEnergy(row.baseline.stats, org, timing);
-        auto design = computeEnergy(
-            row.designs[static_cast<std::size_t>(idx)].sim.stats, org,
-            timing);
+    for (const auto* p : cell) {
+        auto base = computeEnergy(baselines.of(p->result).stats, org, timing);
+        auto design = computeEnergy(p->result.sim.stats, org, timing);
         overheads.push_back(design.overheadPctVs(base));
     }
     return mean(overheads);
@@ -43,28 +37,31 @@ meanEnergyOverheadPct(const std::vector<sim::WorkloadRow>& rows, int idx)
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
     bench::banner("Fig 21+22", "MOAT vs QPRAC: slowdown & energy vs NBO");
-    ExperimentConfig cfg = bench::experiment();
+    sim::ResultCache cache(bench::cacheDirFromArgs(argc, argv));
     auto workloads = bench::sweepWorkloads();
     std::printf("workloads=%zu (sweep subset), PRAC-1\n\n",
                 workloads.size());
 
-    struct Variant
-    {
-        std::string name;
-        bool is_moat;
-        int proactive_period; // 0 = none
+    auto with = [](const char* mitigation, const char* period) {
+        return std::vector<std::pair<std::string, std::string>>{
+            {"mitigation", mitigation}, {"proactive_period", period}};
     };
-    std::vector<Variant> variants = {
-        {"MOAT", true, 0},
-        {"MOAT+Pro/4tREFI", true, 4},
-        {"MOAT+Pro/1tREFI", true, 1},
-        {"QPRAC", false, 0},
-        {"QPRAC-EA/4tREFI", false, 4},
-        {"QPRAC-EA/1tREFI", false, 1},
+    const std::vector<bench::Design> designs = {
+        {"MOAT", with("moat", "0")},
+        {"MOAT+Pro/4tREFI", with("moat", "4")},
+        {"MOAT+Pro/1tREFI", with("moat", "1")},
+        {"QPRAC", with("qprac", "0")},
+        {"QPRAC-EA/4tREFI", with("qprac+proactive-ea", "4")},
+        {"QPRAC-EA/1tREFI", with("qprac+proactive-ea", "1")},
     };
+    const sim::ScenarioConfig base = bench::baseScenario();
+    const std::string sources = bench::sourceAxis(workloads);
+    bench::Baselines baselines(base, {sources}, &cache);
+    auto points = bench::runDesigns(base, designs,
+                                    {"nbo=16,32,64,128", sources}, &cache);
 
     Table perf({"NBO", "MOAT", "MOAT+P4", "MOAT+P1", "QPRAC", "QPRAC-EA4",
                 "QPRAC-EA1"});
@@ -72,33 +69,18 @@ main()
                   "QPRAC-EA4", "QPRAC-EA1"});
     bench::ResultSink csv("fig21_22_vs_moat",
                   {"nbo", "design", "slowdown_pct", "energy_overhead_pct"});
-
-    for (int nbo : {16, 32, 64, 128}) {
-        std::vector<DesignSpec> designs;
-        for (const auto& v : variants) {
-            if (v.is_moat) {
-                designs.push_back(DesignSpec::moat(
-                    MoatConfig::forNbo(nbo, v.proactive_period)));
-            } else {
-                QpracConfig qc = v.proactive_period
-                                     ? QpracConfig::proactiveEa(nbo, 1)
-                                     : QpracConfig::base(nbo, 1);
-                qc.proactive_period_refs =
-                    v.proactive_period ? v.proactive_period : 1;
-                designs.push_back(DesignSpec::qprac(qc));
-            }
-            designs.back().label = v.name;
-        }
-        auto rows = sim::runComparison(workloads, designs, cfg);
-        std::vector<std::string> pcells = {std::to_string(nbo)};
-        std::vector<std::string> ecells = {std::to_string(nbo)};
-        for (std::size_t i = 0; i < variants.size(); ++i) {
-            double s = sim::meanSlowdownPct(rows, static_cast<int>(i));
-            double e = meanEnergyOverheadPct(rows, static_cast<int>(i));
+    for (const char* nbo : {"16", "32", "64", "128"}) {
+        std::vector<std::string> pcells = {nbo};
+        std::vector<std::string> ecells = {nbo};
+        for (std::size_t d = 0; d < designs.size(); ++d) {
+            auto cell = bench::where(points[d], "nbo", nbo);
+            double s = bench::slowdownPct(
+                bench::normPerfGeomean(cell, baselines));
+            double e = meanEnergyOverheadPct(cell, baselines);
             pcells.push_back(Table::pct(s, 2));
             ecells.push_back(Table::pct(e, 2));
-            csv.addRow({std::to_string(nbo), variants[i].name,
-                        Table::num(s, 4), Table::num(e, 4)});
+            csv.addRow({nbo, designs[d].label, Table::num(s, 4),
+                        Table::num(e, 4)});
         }
         perf.addRow(pcells);
         energy.addRow(ecells);

@@ -11,16 +11,13 @@
 #include "energy/energy_model.h"
 
 using namespace qprac;
-using core::QpracConfig;
 using energy::computeEnergy;
-using sim::DesignSpec;
-using sim::ExperimentConfig;
 
 int
-main()
+main(int argc, char** argv)
 {
     bench::banner("Table III", "energy overhead of QPRAC designs");
-    ExperimentConfig cfg = bench::experiment();
+    sim::ResultCache cache(bench::cacheDirFromArgs(argc, argv));
     auto workloads = bench::sweepWorkloads();
     std::printf("workloads=%zu (sweep subset), NBO=32\n\n",
                 workloads.size());
@@ -28,31 +25,35 @@ main()
     dram::Organization org;
     auto timing = dram::TimingParams::ddr5Prac();
 
+    const std::vector<bench::Design> designs = {
+        {"QPRAC", {{"mitigation", "qprac"}}},
+        {"QPRAC+Proactive", {{"mitigation", "qprac+proactive"}}},
+        {"QPRAC+Proactive-EA", {{"mitigation", "qprac+proactive-ea"}}},
+    };
+    const sim::ScenarioConfig base = bench::baseScenario();
+    const std::string sources = bench::sourceAxis(workloads);
+    bench::Baselines baselines(base, {sources}, &cache);
+    auto points =
+        bench::runDesigns(base, designs, {"nmit=1,2,4", sources}, &cache);
+
     Table table({"PRAC level", "QPRAC", "QPRAC+Proactive",
                  "QPRAC+Proactive-EA"});
     bench::ResultSink csv("tab03_energy",
                   {"prac_level", "design", "energy_overhead_pct"});
-
-    for (int nmit : {1, 2, 4}) {
-        std::vector<DesignSpec> designs = {
-            DesignSpec::qprac(QpracConfig::base(32, nmit)),
-            DesignSpec::qprac(QpracConfig::proactiveEvery(32, nmit)),
-            DesignSpec::qprac(QpracConfig::proactiveEa(32, nmit)),
-        };
-        auto rows = sim::runComparison(workloads, designs, cfg);
-        std::vector<std::string> cells = {"PRAC-" + std::to_string(nmit)};
-        for (std::size_t i = 0; i < designs.size(); ++i) {
+    for (const char* nmit : {"1", "2", "4"}) {
+        const std::string level = std::string("PRAC-") + nmit;
+        std::vector<std::string> cells = {level};
+        for (std::size_t d = 0; d < designs.size(); ++d) {
             std::vector<double> overheads;
-            for (const auto& row : rows) {
-                auto base = computeEnergy(row.baseline.stats, org, timing);
-                auto d = computeEnergy(row.designs[i].sim.stats, org,
+            for (const auto* p : bench::where(points[d], "nmit", nmit)) {
+                auto b = computeEnergy(baselines.of(p->result).stats, org,
                                        timing);
-                overheads.push_back(d.overheadPctVs(base));
+                auto e = computeEnergy(p->result.sim.stats, org, timing);
+                overheads.push_back(e.overheadPctVs(b));
             }
             double o = mean(overheads);
             cells.push_back(Table::pct(o, 2));
-            csv.addRow({"PRAC-" + std::to_string(nmit), designs[i].label,
-                        Table::num(o, 4)});
+            csv.addRow({level, designs[d].label, Table::num(o, 4)});
         }
         table.addRow(cells);
     }

@@ -9,17 +9,19 @@
  * REF (a REF-shadow-only TRR). It never alerts, so it costs nothing,
  * but (as the wave-attack numbers show) it provides no worst-case
  * protection; it exists to demonstrate how little code a new design
- * needs and how to compare one against QPRAC.
+ * needs and how to compare one against QPRAC: register it by name in
+ * the MitigationRegistry, and every scenario, sweep and CLI run can
+ * select it with `mitigation=<name>`.
  */
 #include <cstdio>
 #include <vector>
 
 #include "attacks/wave_attack.h"
+#include "common/log.h"
 #include "common/table.h"
-#include "core/qprac.h"
 #include "dram/prac_counters.h"
-#include "sim/experiment.h"
-#include "sim/workloads.h"
+#include "mitigations/factory.h"
+#include "sim/scenario.h"
 
 using namespace qprac;
 
@@ -70,32 +72,36 @@ class RoundRobinRefresher : public dram::RowhammerMitigation
 int
 main()
 {
-    sim::ExperimentConfig cfg;
-    cfg.insts_per_core = 200'000; // demo scale
+    // Register the custom design: a name, a description and a builder.
+    // It never alerts, so its ABO engine stays idle.
+    mitigations::MitigationRegistry::instance().registerDesign(
+        "round-robin", "REF-shadow-only round-robin refresher (toy)",
+        [](const mitigations::MitigationParams&,
+           dram::PracCounters* counters) {
+            return std::make_unique<RoundRobinRefresher>(counters);
+        });
 
-    // Wire the custom design into the experiment harness: a DesignSpec
-    // only needs a factory closure.
-    sim::DesignSpec custom;
-    custom.label = "RoundRobinRefresher";
-    custom.abo.enabled = false; // it never alerts
-    custom.factory = [](dram::PracCounters* counters) {
-        return std::make_unique<RoundRobinRefresher>(counters);
-    };
-
-    sim::DesignSpec qprac =
-        sim::DesignSpec::qprac(core::QpracConfig::proactiveEa(32, 1));
-
-    std::vector<sim::Workload> workloads = {
-        sim::findWorkload("429.mcf"),
-        sim::findWorkload("482.sphinx3"),
-    };
-    auto rows = sim::runComparison(workloads, {custom, qprac}, cfg);
+    // Sweep it by name next to QPRAC and the insecure baseline.
+    sim::ScenarioConfig base;
+    sim::SweepSpec spec;
+    std::string err;
+    if (!base.set("insts", "200000", &err) || // demo scale
+        !spec.add("source=429.mcf,482.sphinx3", &err) ||
+        !spec.add("mitigation=none,round-robin,qprac+proactive-ea", &err))
+        fatal(err);
+    auto points = sim::runSweep(base, spec, &err);
+    if (points.empty())
+        fatal(err);
 
     std::printf("=== benign performance ===\n");
-    Table t({"workload", custom.label, qprac.label});
-    for (const auto& row : rows)
-        t.addRow({row.workload, Table::num(row.designs[0].norm_perf, 3),
-                  Table::num(row.designs[1].norm_perf, 3)});
+    Table t({"workload", "RoundRobinRefresher", "QPRAC+Proactive-EA"});
+    for (std::size_t i = 0; i < points.size(); i += 3) {
+        const double base_ipc = points[i].result.sim.ipc_sum;
+        t.addRow({points[i].result.config.sourceName(),
+                  Table::num(points[i + 1].result.sim.ipc_sum / base_ipc, 3),
+                  Table::num(points[i + 2].result.sim.ipc_sum / base_ipc,
+                             3)});
+    }
     t.print();
 
     // And the part the toy design fails: worst-case security. QPRAC's

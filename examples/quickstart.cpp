@@ -7,46 +7,56 @@
  *
  * This is the 60-second tour of the public API:
  *   1. pick a workload profile (sim/workloads.h);
- *   2. describe the design — mitigation + ABO config (sim/experiment.h);
- *   3. run it against the insecure baseline and compare.
+ *   2. describe each run as a ScenarioConfig — source + design
+ *      (sim/scenario.h);
+ *   3. run it and the insecure baseline with runScenario and compare.
  */
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "common/log.h"
 #include "common/table.h"
-#include "core/qprac.h"
-#include "sim/experiment.h"
+#include "sim/scenario.h"
 #include "sim/workloads.h"
 
 using namespace qprac;
+
+namespace {
+
+/** The default scenario with @p mitigation on @p workload at @p nbo. */
+sim::ScenarioResult
+run(const std::string& workload, const std::string& mitigation,
+    const std::string& nbo)
+{
+    sim::ScenarioConfig cfg; // 4 cores; QPRAC_INSTS to change length
+    std::string err;
+    if (!cfg.set("source", workload, &err) ||
+        !cfg.set("mitigation", mitigation, &err) ||
+        !cfg.set("nbo", nbo, &err))
+        fatal(err);
+    return sim::runScenario(cfg);
+}
+
+} // namespace
 
 int
 main(int argc, char** argv)
 {
     std::string workload_name = argc > 1 ? argv[1] : "429.mcf";
-    int nbo = argc > 2 ? std::atoi(argv[2]) : 32;
+    std::string nbo = argc > 2 ? argv[2] : "32";
 
     const sim::Workload& workload = sim::findWorkload(workload_name);
     std::printf("workload %s (%s): ~%.1f LLC misses per kilo-instruction\n",
                 workload.name.c_str(), workload.suite.c_str(),
                 workload.miss_per_kilo);
 
-    sim::ExperimentConfig cfg; // 4 cores; QPRAC_INSTS to change length
-
     // The insecure reference: PRAC timings, but alerts are ignored.
-    sim::DesignSpec baseline;
-    baseline.label = "insecure baseline";
-    baseline.abo.enabled = false;
-
+    sim::SimResult base = run(workload_name, "none", nbo).sim;
     // QPRAC with energy-aware proactive mitigation (the paper default).
-    sim::DesignSpec qprac =
-        sim::DesignSpec::qprac(core::QpracConfig::proactiveEa(nbo, 1));
+    sim::SimResult prot = run(workload_name, "qprac+proactive-ea", nbo).sim;
 
-    sim::SimResult base = sim::runOne(workload, baseline, cfg);
-    sim::SimResult prot = sim::runOne(workload, qprac, cfg);
-
-    Table t({"metric", "baseline", qprac.label});
+    Table t({"metric", "baseline", "QPRAC+Proactive-EA"});
     t.addRow({"IPC (sum over cores)", Table::num(base.ipc_sum, 3),
               Table::num(prot.ipc_sum, 3)});
     t.addRow({"normalized performance", "1.000",
@@ -63,8 +73,8 @@ main(int argc, char** argv)
     t.print();
 
     std::printf("\nQPRAC tracked the hottest rows in a %d-entry PSQ per "
-                "bank (15 bytes), alerted at NBO=%d, and mitigated with "
+                "bank (15 bytes), alerted at NBO=%s, and mitigated with "
                 "blast-radius-2 victim refreshes.\n",
-                5, nbo);
+                5, nbo.c_str());
     return 0;
 }

@@ -25,8 +25,8 @@ int hardwareThreads();
  * Run fn(0), ..., fn(count-1) across @p threads workers (clamped to
  * count; values <= 1 run inline). Indices are claimed from a shared
  * counter, so callers store results by index for deterministic
- * ordering regardless of interleaving. Shared by runComparison, the
- * scenario sweep runner and the bench drivers.
+ * ordering regardless of interleaving. Shared by the scenario sweep
+ * runner and the bench drivers.
  */
 void parallelFor(std::size_t count, int threads,
                  const std::function<void(std::size_t)>& fn);

@@ -28,24 +28,10 @@ QpracConfig::label() const
             break;
         }
     }
+    // Name a non-default queue the way input selects it (backend=).
     if (backend != SqBackendKind::Linear)
-        base_label += std::string("@") + sqBackendName(backend);
+        base_label += std::string(" backend=") + sqBackendName(backend);
     return base_label;
-}
-
-std::string
-QpracConfig::registryKey() const
-{
-    if (ideal)
-        return "qprac-ideal";
-    if (!opportunistic)
-        return "qprac-noop";
-    switch (proactive) {
-      case ProactiveMode::None: return "qprac";
-      case ProactiveMode::EveryRef: return "qprac+proactive";
-      case ProactiveMode::EnergyAware: return "qprac+proactive-ea";
-    }
-    return "qprac";
 }
 
 QpracConfig

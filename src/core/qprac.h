@@ -62,10 +62,9 @@ struct QpracConfig
     /** Staging entries for the Coalescing backend. */
     int coalesce_window = CoalescingQueue::kDefaultWindow;
 
+    /** Display name, e.g. "QPRAC+Proactive-EA" or, off the default
+     * queue, "QPRAC backend=coalescing". */
     std::string label() const;
-
-    /** Name this preset resolves to in the MitigationRegistry. */
-    std::string registryKey() const;
 
     // Named presets matching the paper's evaluated designs (§V).
     static QpracConfig noOp(int nbo = 32, int nmit = 1);

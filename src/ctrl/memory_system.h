@@ -36,7 +36,7 @@
  * Every phase runs on the calling thread, so the operation sequence is
  * a function of the config alone and reproduces the pre-engine serial
  * goldens. Parallelism lives one level up, across independent
- * simulation points (runSweep, runComparison).
+ * simulation points (runSweep).
  *
  * Every run steps through that one shard loop. System's epoch loop
  * calls runEpoch directly; drivers with no LLC (the attack drivers,

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "mitigations/mithril.h"
+#include "mitigations/moat.h"
 #include "mitigations/panopticon.h"
 #include "mitigations/pride.h"
 #include "mitigations/uprac.h"
@@ -49,9 +51,11 @@ std::unique_ptr<dram::RowhammerMitigation>
 buildQprac(core::QpracConfig (*preset)(int, int),
            const MitigationParams& p, dram::PracCounters* counters)
 {
-    core::QpracConfig cfg = p.qprac ? *p.qprac : preset(p.nbo, p.nmit);
+    core::QpracConfig cfg = preset(p.nbo, p.nmit);
     if (p.psq_size > 0)
         cfg.psq_size = p.psq_size;
+    if (p.proactive_period > 0)
+        cfg.proactive_period_refs = p.proactive_period;
     if (p.backend)
         cfg.backend = *p.backend;
     return core::makeQprac(cfg, counters);
@@ -109,9 +113,9 @@ MitigationRegistry::MitigationRegistry()
     registerDesign("moat",
                    "MOAT: single-entry queue, dual thresholds ETH/ATH",
                    [](const MitigationParams& p, dram::PracCounters* c) {
-                       MoatConfig cfg =
-                           p.moat ? *p.moat : MoatConfig::forNbo(p.nbo);
-                       return std::make_unique<Moat>(cfg, c);
+                       return std::make_unique<Moat>(
+                           MoatConfig::forNbo(p.nbo, p.proactive_period),
+                           c);
                    });
     registerDesign("pride",
                    "PrIDE: controller-paced RFMs with per-bank FIFOs",
@@ -120,10 +124,9 @@ MitigationRegistry::MitigationRegistry()
                    });
     registerDesign("mithril",
                    "Mithril: Misra-Gries tracker with paced RFMs",
-                   [](const MitigationParams& p, dram::PracCounters* c) {
-                       MithrilConfig cfg =
-                           p.mithril ? *p.mithril : MithrilConfig{};
-                       return std::make_unique<Mithril>(cfg, c);
+                   [](const MitigationParams&, dram::PracCounters* c) {
+                       return std::make_unique<Mithril>(MithrilConfig{},
+                                                        c);
                    });
 }
 

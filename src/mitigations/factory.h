@@ -1,7 +1,7 @@
 /**
  * @file
  * String-keyed registry of mitigation designs — the single construction
- * path for tools, the experiment harness and the bench suite.
+ * path for tools, the scenario layer and the bench suite.
  *
  * Every evaluated design registers a name, a one-line description and a
  * builder. Consumers look designs up by name (`qprac+proactive-ea`,
@@ -20,8 +20,6 @@
 
 #include "core/qprac.h"
 #include "dram/mitigation_iface.h"
-#include "mitigations/mithril.h"
-#include "mitigations/moat.h"
 
 namespace qprac::dram {
 class PracCounters;
@@ -29,26 +27,18 @@ class PracCounters;
 
 namespace qprac::mitigations {
 
-/**
- * Knobs a registry builder may honour. The scalar fields cover the
- * common sweep axes; the optional config structs let callers that
- * already built a full design configuration (the fig benches) construct
- * it through the registry without losing any field.
- */
+/** Knobs a registry builder may honour (the scenario design keys). */
 struct MitigationParams
 {
     int nbo = 32;  ///< back-off / alert threshold (threshold designs)
     int nmit = 1;  ///< RFMs per alert (QPRAC PSQ sizing)
     /** QPRAC PSQ size override (0 = design default of 5). */
     int psq_size = 0;
+    /** One proactive mitigation per N REFs for QPRAC's proactive
+     * variants and MOAT (0 = design default). */
+    int proactive_period = 0;
     /** QPRAC service-queue backend override (unset = design default). */
     std::optional<core::SqBackendKind> backend;
-    /** Full QPRAC config; overrides nbo/nmit when set. */
-    std::optional<core::QpracConfig> qprac;
-    /** Full MOAT config; overrides nbo when set. */
-    std::optional<MoatConfig> moat;
-    /** Full Mithril config; overrides the default tracker sizing. */
-    std::optional<MithrilConfig> mithril;
 };
 
 /** Registry of constructible mitigation designs. */

@@ -1,67 +1,29 @@
 /**
  * @file
- * Experiment harness: runs design-vs-baseline comparisons over the
- * workload suite, in parallel, and computes normalized weighted speedup
- * (the paper's performance metric for Figs 14-21).
+ * Harness knobs and system wiring shared by every run: ExperimentConfig
+ * (with its QPRAC_* environment defaults), the DesignSpec a scenario
+ * resolves its design to, and makeSystemConfig, which joins the two
+ * into a SystemConfig. Runs themselves go through the scenario API
+ * (sim/scenario.h: runScenario, runSweep).
  */
 #ifndef QPRAC_SIM_EXPERIMENT_H
 #define QPRAC_SIM_EXPERIMENT_H
 
-#include <cstddef>
-#include <functional>
-#include <string>
-#include <vector>
+#include <cstdint>
 
-#include "common/parallel.h"
-#include "core/qprac.h"
-#include "mitigations/moat.h"
 #include "mitigations/rfm_policy.h"
 #include "sim/system.h"
-#include "sim/workloads.h"
 
 namespace qprac::sim {
 
-/** One evaluated design: timing preset + ABO config + mitigation. */
+/** One design under test: timing preset + ABO config + mitigation
+ * (built by ScenarioConfig::design()). */
 struct DesignSpec
 {
-    std::string label;
     dram::TimingParams timing = dram::TimingParams::ddr5Prac();
     ctrl::AboConfig abo;
     mitigations::RfmPolicy rfm_policy;
     MitigationFactory factory; ///< null = no in-DRAM mitigation
-    /** Designs sharing a key share one baseline run (same timing). */
-    std::string baseline_key = "prac";
-
-    /** QPRAC variant with matching ABO nmit and RFM scope. */
-    static DesignSpec qprac(const core::QpracConfig& config,
-                            dram::RfmScope scope = dram::RfmScope::AllBank);
-
-    /** MOAT with ABO at the given NBO. */
-    static DesignSpec moat(const mitigations::MoatConfig& config);
-
-    /** PrIDE at a Rowhammer threshold (conventional DDR5 timings). */
-    static DesignSpec pride(int trh);
-
-    /** Mithril at a Rowhammer threshold (conventional DDR5 timings). */
-    static DesignSpec mithril(int trh);
-};
-
-/** Result of one design on one workload. */
-struct DesignResult
-{
-    std::string label;
-    SimResult sim;
-    double norm_perf = 1.0; ///< weighted speedup vs the insecure baseline
-};
-
-/** All results for one workload. */
-struct WorkloadRow
-{
-    std::string workload;
-    std::string suite;
-    SimResult baseline; ///< insecure baseline with the primary timing
-    double base_rbmpki = 0.0;
-    std::vector<DesignResult> designs;
 };
 
 /** Harness knobs. */
@@ -69,14 +31,14 @@ struct ExperimentConfig
 {
     std::uint64_t insts_per_core = defaultInstsPerCore();
     int num_cores = 4;
-    /** Fan-out budget: how many workloads runComparison (and points
-     * runSweep) simulate side by side. Each run uses one thread. */
+    /** Fan-out budget: how many points runSweep simulates side by
+     * side. Each run uses one thread. */
     int threads = defaultThreads();
     /**
      * Memory geometry. The paper evaluates one DDR5 channel (Table II);
-     * benches and the experiment harness keep that default so the paper
-     * figures are unchanged. channels > 1 shards the memory system into
-     * independent (controller, device, mitigation) triples.
+     * benches keep that default so the paper figures are unchanged.
+     * channels > 1 shards the memory system into independent
+     * (controller, device, mitigation) triples.
      */
     int channels = 1;
     int ranks = 2;
@@ -117,35 +79,9 @@ struct ExperimentConfig
     static std::uint64_t defaultLlcMb();
 };
 
-// parallelFor lives in common/parallel.h now; re-exported here because
-// the whole harness historically reached it through sim::.
-using qprac::parallelFor;
-
-/** Fill a SystemConfig for one design (shared wiring for benches/tests). */
+/** Fill a SystemConfig for one design. */
 SystemConfig makeSystemConfig(const DesignSpec& design,
                               const ExperimentConfig& cfg);
-
-/** Run one (workload, design) simulation. */
-SimResult runOne(const Workload& workload, const DesignSpec& design,
-                 const ExperimentConfig& cfg);
-
-/**
- * Run the full comparison: for every workload, the per-baseline-key
- * insecure baselines plus every design; norm_perf is design IPC-sum over
- * its baseline's IPC-sum. Parallel across workloads; deterministic.
- */
-std::vector<WorkloadRow> runComparison(const std::vector<Workload>& workloads,
-                                       const std::vector<DesignSpec>& designs,
-                                       const ExperimentConfig& cfg);
-
-/** Geomean normalized performance of design @p idx across rows. */
-double geomeanNormPerf(const std::vector<WorkloadRow>& rows, int idx);
-
-/** Mean slowdown in percent (100 * (1 - norm_perf)), floored at 0. */
-double meanSlowdownPct(const std::vector<WorkloadRow>& rows, int idx);
-
-/** Mean alerts per tREFI for design @p idx. */
-double meanAlertsPerTrefi(const std::vector<WorkloadRow>& rows, int idx);
 
 } // namespace qprac::sim
 

@@ -162,6 +162,22 @@ inlineUpdates(const Cfg& c)
     return c.counter_update == "inline";
 }
 
+/** PrIDE and Mithril run conventional DDR5 timings with controller-
+ * paced RFMs (no ABO); every other design runs the PRAC preset. */
+bool
+conventionalTiming(const Cfg& c)
+{
+    return c.mitigation == "pride" || c.mitigation == "mithril";
+}
+
+/** The designs whose proactive mitigation has a period to set. */
+bool
+hasProactivePeriod(const std::string& mitigation)
+{
+    return mitigation == "qprac+proactive" ||
+           mitigation == "qprac+proactive-ea" || mitigation == "moat";
+}
+
 bool
 parseSourceKey(Cfg& c, const std::string& v, std::string* why)
 {
@@ -216,6 +232,13 @@ constexpr ScenarioKey kKeyTable[] = {
     {.name = "psq_size", .parse = number<&Cfg::psq_size, 0, 1024>,
      .print = print<&Cfg::psq_size>, .flag = "--psq-size",
      .values = "an integer in [0, 1024] (0 = design default)"},
+    {.name = "proactive_period",
+     .parse = number<&Cfg::proactive_period, 0, 1024>,
+     .print = print<&Cfg::proactive_period>,
+     .omit = [](const Cfg& c) { return c.proactive_period == 0; },
+     .optional = true,
+     .values = "an integer in [0, 1024] (REFs per proactive mitigation; "
+               "0 = design default)"},
     {.name = "nbo", .parse = number<&Cfg::nbo, 1, 1'000'000>,
      .print = print<&Cfg::nbo>, .flag = "--nbo",
      .values = "an integer in [1, 1000000] (Back-Off threshold)"},
@@ -256,14 +279,23 @@ constexpr ScenarioKey kKeyTable[] = {
     {.name = "threads", .parse = numberOr<&Cfg::threads, kAuto, 0, 4096>,
      .print = print<&Cfg::threads>, .flag = "--threads", .neutral = true,
      .values = "auto or an integer in [0, 4096] (0 = auto)"},
+    // The baseline runs under the design's own timings. For the
+    // conventional-timing designs true prints as noprac, so their
+    // points hash apart from the PRAC-timed baselines they once had.
     {.name = "baseline",
      .parse = [](Cfg& c, const std::string& v, std::string*) {
-         return parseBool(v, &c.baseline);
+         if (trimmed(v) != "noprac")
+             return parseBool(v, &c.baseline);
+         c.baseline = true;
+         return true;
      },
      .print = [](const Cfg& c) -> std::string {
-         return c.baseline ? "true" : "false";
+         if (!c.baseline)
+             return "false";
+         return conventionalTiming(c) ? "noprac" : "true";
      },
-     .values = "true or false (also run the insecure baseline)"},
+     .values = "true or false (also run the insecure baseline, under the "
+               "design's timings: noprac for pride/mithril)"},
     {.name = "r1", .parse = number<&Cfg::r1, 1, 10'000'000>,
      .print = print<&Cfg::r1>,
      .values = "an integer in [1, 10000000] (attack:wave pool)"},
@@ -370,11 +402,31 @@ ScenarioConfig::keys()
     static const std::vector<std::string> live = [] {
         std::vector<std::string> out;
         for (const ScenarioKey& k : kKeyTable)
-            if (!k.retired)
+            if (!k.retired && !k.optional)
                 out.push_back(k.name);
         return out;
     }();
     return live;
+}
+
+namespace {
+
+bool
+printed(const ScenarioKey& k, const Cfg& cfg)
+{
+    return !k.retired && !(k.optional && k.omit(cfg));
+}
+
+} // namespace
+
+std::vector<std::string>
+ScenarioConfig::printedKeys() const
+{
+    std::vector<std::string> out;
+    for (const ScenarioKey& k : kKeyTable)
+        if (printed(k, *this))
+            out.push_back(k.name);
+    return out;
 }
 
 bool
@@ -402,7 +454,7 @@ ScenarioConfig::toIni() const
 {
     std::string out = "# qprac scenario\n";
     for (const ScenarioKey& k : kKeyTable)
-        if (!k.retired)
+        if (printed(k, *this))
             out += strCat(k.name, " = ", k.print(*this), "\n");
     return out;
 }
@@ -483,6 +535,13 @@ ScenarioConfig::validate(std::string* err) const
     for (const ScenarioKey& k : kKeyTable)
         if (!k.retired && !applyKey(k, probe, k.print(*this), err))
             return false;
+    if (proactive_period != 0 && !hasProactivePeriod(mitigation)) {
+        if (err)
+            *err = strCat("proactive_period='", proactive_period,
+                          "': mitigation '", mitigation,
+                          "' has no proactive period");
+        return false;
+    }
     if (sourceKind() == SourceKind::Attack && channels != 1 &&
         !ScenarioRegistry::instance().attackSupportsChannels(
             sourceName())) {
@@ -544,6 +603,7 @@ ScenarioConfig::design() const
     params.nbo = nbo;
     params.nmit = nmit;
     params.psq_size = psq_size;
+    params.proactive_period = proactive_period;
     if (!backend.empty()) {
         core::SqBackendKind kind;
         if (!core::parseSqBackend(backend, &kind))
@@ -552,7 +612,6 @@ ScenarioConfig::design() const
     }
 
     DesignSpec d;
-    d.label = mitigation;
     d.abo.enabled = mitigation != "none";
     d.abo.nmit = nmit;
     if (!ctrl::parseRecoveryKind(recovery, &d.abo.recovery))
@@ -564,10 +623,9 @@ ScenarioConfig::design() const
     };
     // RFM-paced designs have no ABO alert; the controller supplies
     // their mitigation slots (nbo doubles as the target TRH).
-    if (mitigation == "pride" || mitigation == "mithril") {
+    if (conventionalTiming(*this)) {
         d.abo.enabled = false;
         d.timing = dram::TimingParams::ddr5NoPrac();
-        d.baseline_key = "noprac";
         d.rfm_policy = mitigation == "pride"
                            ? mitigations::RfmPolicy::forPride(nbo)
                            : mitigations::RfmPolicy::forMithril(nbo);
@@ -628,7 +686,7 @@ ScenarioResult::toJson() const
     JsonWriter w;
     w.beginObject();
     w.key("scenario").beginObject();
-    for (const auto& key : ScenarioConfig::keys())
+    for (const auto& key : config.printedKeys())
         w.key(key).value(config.get(key));
     w.endObject();
     w.key("result").raw(resultJson());
@@ -695,10 +753,25 @@ ScenarioResult::fromResultJson(const JsonValue& doc,
     return true;
 }
 
+namespace {
+
+/** CSV rows need fixed columns, so they carry every live key. */
+std::vector<std::string>
+csvKeys()
+{
+    std::vector<std::string> out;
+    for (const ScenarioKey& k : kKeyTable)
+        if (!k.retired)
+            out.push_back(k.name);
+    return out;
+}
+
+} // namespace
+
 std::vector<std::string>
 ScenarioResult::csvHeader()
 {
-    std::vector<std::string> h = ScenarioConfig::keys();
+    std::vector<std::string> h = csvKeys();
     h.insert(h.end(), {"kind", "cycles", "ipc_sum", "rbmpki",
                        "alerts_per_trefi", "acts", "norm_perf",
                        "attack_stats"});
@@ -709,7 +782,7 @@ std::vector<std::string>
 ScenarioResult::csvRow() const
 {
     std::vector<std::string> row;
-    for (const auto& key : ScenarioConfig::keys())
+    for (const auto& key : csvKeys())
         row.push_back(config.get(key));
     row.push_back(is_attack ? "attack" : "system");
     // Cells that don't apply to a row are blank, never zero (an attack
@@ -1098,16 +1171,14 @@ ScenarioRegistry::run(const ScenarioConfig& cfg) const
     finishObs();
     res.stats = res.sim.stats;
     if (cfg.baseline) {
-        // The insecure baseline: no ABO, no mitigation, primary (PRAC)
-        // timings — exactly the reference qprac_sim --baseline ran
-        // before the redesign (bit-identity is golden-pinned). Note
-        // this deliberately does NOT honour DesignSpec::baseline_key:
-        // for pride/mithril the design runs conventional DDR5 timings
-        // while this baseline keeps PRAC timings, so norm_perf mixes
-        // timing and mitigation effects. Use runComparison for the
-        // paper's per-timing-key normalization (Fig 20 methodology).
+        // The insecure baseline: no ABO, no mitigation, and the
+        // design's own timing preset, so norm_perf isolates the
+        // mitigation cost. PRAC-timed designs thus keep the reference
+        // qprac_sim --baseline always ran (golden-pinned), and
+        // pride/mithril normalize against conventional DDR5 timings,
+        // the paper's Fig 20 methodology (§VI-G).
         DesignSpec base;
-        base.label = "baseline";
+        base.timing = d.timing;
         base.abo.enabled = false;
         SystemConfig sys = makeSystemConfig(base, ecfg);
         System system(sys, base.factory, buildScenarioTraces(cfg));
@@ -1141,8 +1212,8 @@ SweepAxis::parse(const std::string& text, SweepAxis* out, std::string* err)
         return fail("expected key=values");
     std::string key = trimmed(text.substr(0, eq));
     std::string rest = trimmed(text.substr(eq + 1));
-    const auto& valid = ScenarioConfig::keys();
-    if (std::find(valid.begin(), valid.end(), key) == valid.end())
+    const ScenarioKey* row = findKey(key);
+    if (!row || row->retired)
         return fail(strCat("unknown config key '", key, "'"));
     if (rest.empty())
         return fail("empty value list");
@@ -1285,7 +1356,7 @@ runIsolatedPoint(const ScenarioConfig& cfg, const std::string& exe,
                  ScenarioResult* out, std::string* err)
 {
     std::vector<std::string> args;
-    for (const auto& key : ScenarioConfig::keys()) {
+    for (const auto& key : cfg.printedKeys()) {
         args.push_back("--set");
         args.push_back(strCat(key, "=", cfg.get(key)));
     }

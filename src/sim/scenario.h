@@ -77,6 +77,9 @@ struct ScenarioConfig
     std::string mitigation = "qprac+proactive-ea";
     std::string backend; ///< QPRAC service-queue backend ("" = linear)
     int psq_size = 0;    ///< PSQ entries per bank (0 = design default)
+    /** One proactive mitigation per N REFs (0 = design default); only
+     * the designs with a proactive period accept a non-zero value. */
+    int proactive_period = 0;
     int nbo = 32;        ///< Back-Off threshold
     int nmit = 1;        ///< RFMs per alert
     /** ALERT_n recovery blocking granularity (ctrl/recovery). */
@@ -98,7 +101,9 @@ struct ScenarioConfig
      * on one thread, so the key never changes simulation results.
      */
     int threads = 0;
-    bool baseline = false;    ///< also run the insecure baseline
+    /** Also run the insecure baseline (no ABO, no mitigation) under
+     * the design's own timing preset. */
+    bool baseline = false;
     /** Engine switches (sim/system.h): `skip` only. There is one
      * schedule, so it has no key. */
     EngineOptions engine;
@@ -121,8 +126,13 @@ struct ScenarioConfig
      * rfm-probe, recovery-dos); 0 = family default. */
     std::uint64_t attack_cycles = 0;
 
-    /** Canonical order of the live keys (serialization, listings). */
+    /** Canonical order of the listed keys: every live key except the
+     * optional ones (ScenarioKey::optional). */
     static const std::vector<std::string>& keys();
+
+    /** The live keys this config prints (toIni(), the JSON echo): the
+     * listed keys plus each optional key set off its default. */
+    std::vector<std::string> printedKeys() const;
 
     /**
      * Set one key from its string form; false (with *err) on unknown
@@ -164,8 +174,8 @@ struct ScenarioConfig
 
     /**
      * Design under test as a DesignSpec (registry-built factory, ABO
-     * wiring, RFM pacing for PrIDE/Mithril) — the same construction
-     * qprac_sim's legacy flags performed.
+     * wiring, conventional DDR5 timings and RFM pacing for
+     * PrIDE/Mithril).
      */
     DesignSpec design() const;
 };
@@ -197,6 +207,12 @@ struct ScenarioKey
     /** Accepted by set() so old configs load, but never listed or
      * printed; a hashed retired row keeps its constant line. */
     bool retired = false;
+    /** A design refinement that exists only off its default: printed
+     * (and hashed) only while omit() does not hold, and not listed by
+     * keys(), so every config, echo and key listing written before
+     * the row existed stays byte-identical. CSV rows, which need fixed
+     * columns, carry it always. */
+    bool optional = false;
     const char* values = ""; ///< accepted values, for --help and errors
 };
 

@@ -499,7 +499,7 @@ sweepJson(const ScenarioConfig& base,
     JsonWriter w;
     w.beginObject();
     w.key("scenario").beginObject();
-    for (const auto& key : ScenarioConfig::keys())
+    for (const auto& key : base.printedKeys())
         w.key(key).value(base.get(key));
     w.endObject();
     w.key("sweep").beginArray();

@@ -9,8 +9,8 @@
  * mailing new requests) alternating on the calling thread with a shard
  * phase that advances every channel over the same
  * MemorySystem::epochLength() cycles. There is one schedule and a run
- * uses one thread; parallelism belongs to the sweep and comparison
- * layers, which run independent points side by side.
+ * uses one thread; parallelism belongs to the sweep layer, which
+ * runs independent points side by side.
  * EngineOptions::skip adds next-event cycle skipping in each shard
  * window (ctrl/memory_system.h), bit-identical to dense ticking.
  */

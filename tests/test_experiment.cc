@@ -1,27 +1,42 @@
 /**
  * @file
- * Tests for the experiment harness: design presets, baseline-key
- * separation, config plumbing and the summary statistics.
+ * Tests for the harness knobs and design wiring behind every scenario
+ * run: the design each `mitigation` resolves to, the environment
+ * defaults, SystemConfig plumbing, and the insecure baseline each
+ * design normalizes against.
  */
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 
-#include "sim/experiment.h"
+#include "dram/prac_counters.h"
+#include "sim/scenario.h"
 
 using namespace qprac;
-using core::QpracConfig;
 using sim::DesignSpec;
 using sim::ExperimentConfig;
+using sim::ScenarioConfig;
+
+namespace {
+
+ScenarioConfig
+scenario(const std::vector<std::pair<std::string, std::string>>& sets)
+{
+    ScenarioConfig cfg;
+    std::string err;
+    for (const auto& [key, value] : sets)
+        EXPECT_TRUE(cfg.set(key, value, &err)) << err;
+    return cfg;
+}
+
+} // namespace
 
 TEST(DesignSpecTest, QpracPresetWiresAboAndFactory)
 {
-    DesignSpec d = DesignSpec::qprac(QpracConfig::base(32, 2));
-    EXPECT_EQ(d.label, "QPRAC");
+    DesignSpec d = scenario({{"mitigation", "qprac"}, {"nmit", "2"}}).design();
     EXPECT_TRUE(d.abo.enabled);
     EXPECT_EQ(d.abo.nmit, 2);
-    EXPECT_EQ(d.baseline_key, "prac");
+    EXPECT_EQ(d.timing.tRC, dram::TimingParams::ddr5Prac().tRC);
     ASSERT_TRUE(d.factory);
     dram::PracCounters ctrs(1, 64);
     auto mit = d.factory(&ctrs);
@@ -31,23 +46,28 @@ TEST(DesignSpecTest, QpracPresetWiresAboAndFactory)
 
 TEST(DesignSpecTest, PrideUsesOwnTimingAndBaseline)
 {
-    DesignSpec d = DesignSpec::pride(250);
-    EXPECT_EQ(d.baseline_key, "noprac");
+    ScenarioConfig cfg = scenario({{"mitigation", "pride"}, {"nbo", "250"}});
+    DesignSpec d = cfg.design();
     EXPECT_FALSE(d.abo.enabled);
     EXPECT_EQ(d.rfm_policy.acts_per_rfm, 10); // paper anchor at TRH 250
     EXPECT_LT(d.timing.tRC, dram::TimingParams::ddr5Prac().tRC);
+    // Its baseline runs those timings too, and says so in the key.
+    std::string err;
+    ASSERT_TRUE(cfg.set("baseline", "true", &err)) << err;
+    EXPECT_EQ(cfg.get("baseline"), "noprac");
 }
 
 TEST(DesignSpecTest, MithrilPacedDenserThanPride)
 {
-    DesignSpec m = DesignSpec::mithril(512);
-    DesignSpec p = DesignSpec::pride(512);
+    DesignSpec m =
+        scenario({{"mitigation", "mithril"}, {"nbo", "512"}}).design();
+    DesignSpec p = scenario({{"mitigation", "pride"}, {"nbo", "512"}}).design();
     EXPECT_LE(m.rfm_policy.acts_per_rfm, p.rfm_policy.acts_per_rfm);
 }
 
 TEST(DesignSpecTest, MoatPreset)
 {
-    DesignSpec d = DesignSpec::moat(mitigations::MoatConfig::forNbo(32));
+    DesignSpec d = scenario({{"mitigation", "moat"}}).design();
     EXPECT_TRUE(d.abo.enabled);
     dram::PracCounters ctrs(1, 64);
     auto mit = d.factory(&ctrs);
@@ -62,6 +82,11 @@ TEST(ExperimentConfigTest, EnvOverrides)
     EXPECT_EQ(ExperimentConfig::defaultInstsPerCore(), 12345u);
     EXPECT_EQ(ExperimentConfig::defaultThreads(), 3);
     EXPECT_EQ(ExperimentConfig::defaultLlcMb(), 7u);
+    // A scenario's unset knobs resolve to them.
+    ExperimentConfig e = ScenarioConfig{}.experiment();
+    EXPECT_EQ(e.insts_per_core, 12345u);
+    EXPECT_EQ(e.threads, 3);
+    EXPECT_EQ(e.llc_mb, 7u);
     unsetenv("QPRAC_INSTS");
     unsetenv("QPRAC_THREADS");
     unsetenv("QPRAC_LLC_MB");
@@ -72,57 +97,52 @@ TEST(ExperimentConfigTest, EnvOverrides)
 
 TEST(ExperimentConfigTest, SystemConfigPlumbing)
 {
-    ExperimentConfig cfg;
-    cfg.insts_per_core = 777;
-    cfg.num_cores = 2;
-    cfg.llc_mb = 4;
-    DesignSpec d = DesignSpec::qprac(QpracConfig::base(32, 4));
-    sim::SystemConfig sys = sim::makeSystemConfig(d, cfg);
+    ScenarioConfig cfg = scenario({{"insts", "777"},
+                                   {"cores", "2"},
+                                   {"llc_mb", "4"},
+                                   {"mitigation", "qprac"},
+                                   {"nmit", "4"}});
+    sim::SystemConfig sys = sim::makeSystemConfig(cfg.design(),
+                                                  cfg.experiment());
     EXPECT_EQ(sys.core.target_insts, 777u);
     EXPECT_EQ(sys.num_cores, 2);
     EXPECT_EQ(sys.llc.size_bytes, 4u * 1024 * 1024);
     EXPECT_EQ(sys.ctrl.abo.nmit, 4);
     EXPECT_TRUE(sys.ctrl.abo.enabled);
+    // ...and runScenario simulates exactly that machine.
+    sim::SimResult r = sim::runScenario(cfg).sim;
+    ASSERT_EQ(r.core_ipc.size(), 2u);
+    EXPECT_GE(r.stats.get("core1.retired"), 777.0);
+    EXPECT_FALSE(r.stats.has("core2.retired"));
 }
 
 TEST(ExperimentRunner, SeparateBaselinesPerTimingKey)
 {
     // A PRAC design and a no-PRAC design must each normalize against a
     // baseline with their own timings (Fig 20 methodology).
-    ExperimentConfig cfg;
-    cfg.insts_per_core = 15'000;
-    cfg.num_cores = 1;
-    cfg.threads = 1;
-    std::vector<sim::Workload> wls = {sim::findWorkload("403.gcc")};
-    std::vector<DesignSpec> designs = {
-        DesignSpec::qprac(QpracConfig::proactiveEa(32, 1)),
-        DesignSpec::pride(1024),
-    };
-    auto rows = sim::runComparison(wls, designs, cfg);
-    ASSERT_EQ(rows.size(), 1u);
-    ASSERT_EQ(rows[0].designs.size(), 2u);
+    const std::vector<std::pair<std::string, std::string>> point = {
+        {"source", "workload:403.gcc"}, {"insts", "15000"},
+        {"threads", "1"},               {"nbo", "1024"},
+        {"baseline", "true"}};
+    ScenarioConfig pride = scenario(point);
+    ScenarioConfig qprac = scenario(point);
+    ScenarioConfig none = scenario(point);
+    std::string err;
+    ASSERT_TRUE(pride.set("mitigation", "pride", &err)) << err;
+    ASSERT_TRUE(qprac.set("mitigation", "qprac+proactive-ea", &err)) << err;
+    ASSERT_TRUE(none.set("mitigation", "none", &err)) << err;
+    sim::ScenarioResult p = sim::runScenario(pride);
+    sim::ScenarioResult q = sim::runScenario(qprac);
+    sim::ScenarioResult n = sim::runScenario(none);
+    ASSERT_TRUE(p.has_baseline);
+    // PrIDE's baseline is not the PRAC-timed insecure run...
+    EXPECT_NE(p.baseline_sim.cycles, n.sim.cycles);
+    // ...which is exactly the QPRAC design's baseline.
+    EXPECT_EQ(q.baseline_sim.cycles, n.sim.cycles);
+    EXPECT_DOUBLE_EQ(q.baseline_sim.ipc_sum, n.sim.ipc_sum);
     // Both normalize near 1.0 *against their own* baselines; a shared
     // baseline would skew PrIDE by the PRAC timing difference.
-    EXPECT_GT(rows[0].designs[0].norm_perf, 0.9);
-    EXPECT_GT(rows[0].designs[1].norm_perf, 0.9);
-    EXPECT_LT(rows[0].designs[1].norm_perf, 1.1);
-}
-
-TEST(ExperimentRunner, SummaryHelpers)
-{
-    sim::WorkloadRow a, b;
-    a.base_rbmpki = 10.0;
-    b.base_rbmpki = 0.5;
-    sim::DesignResult da, db;
-    da.norm_perf = 0.8;
-    da.sim.alerts_per_trefi = 1.0;
-    db.norm_perf = 1.0;
-    db.sim.alerts_per_trefi = 0.0;
-    a.designs = {da};
-    b.designs = {db};
-    std::vector<sim::WorkloadRow> rows = {a, b};
-    EXPECT_NEAR(sim::geomeanNormPerf(rows, 0), std::sqrt(0.8), 1e-9);
-    EXPECT_NEAR(sim::meanSlowdownPct(rows, 0),
-                100.0 * (1.0 - std::sqrt(0.8)), 1e-6);
-    EXPECT_NEAR(sim::meanAlertsPerTrefi(rows, 0), 0.5, 1e-9);
+    EXPECT_GT(q.norm_perf, 0.9);
+    EXPECT_GT(p.norm_perf, 0.9);
+    EXPECT_LT(p.norm_perf, 1.1);
 }

@@ -16,7 +16,7 @@
 #include "ctrl/memory_system.h"
 #include "mitigations/factory.h"
 #include "obs/obs.h"
-#include "sim/experiment.h"
+#include "sim/scenario.h"
 #include "sim/system.h"
 #include "sim/workloads.h"
 
@@ -119,17 +119,30 @@ TEST(ChannelMapping, RowMajorKeepsLinesOfARowInOneChannel)
 // decisions (insertions/evictions/hits) and the IPC doubles.
 namespace {
 
+/** runScenario of @p sets over a 2-core QPRAC scenario. */
+sim::SimResult
+runQprac(const std::vector<std::pair<std::string, std::string>>& sets)
+{
+    sim::ScenarioConfig cfg;
+    std::string err;
+    for (const auto& [key, value] :
+         {std::pair<std::string, std::string>{"mitigation", "qprac"},
+          {"cores", "2"},
+          {"threads", "1"}})
+        EXPECT_TRUE(cfg.set(key, value, &err)) << err;
+    for (const auto& [key, value] : sets)
+        EXPECT_TRUE(cfg.set(key, value, &err)) << err;
+    return sim::runScenario(cfg).sim;
+}
+
 sim::SimResult
 runGolden(const std::string& workload, std::uint64_t insts)
 {
-    sim::ExperimentConfig cfg;
-    cfg.insts_per_core = insts;
-    cfg.num_cores = 2;
-    cfg.threads = 1;
-    cfg.llc_mb = 2; // pin: goldens were captured without QPRAC_LLC_MB
-    sim::DesignSpec d =
-        sim::DesignSpec::qprac(core::QpracConfig::base(8, 1));
-    return sim::runOne(sim::findWorkload(workload), d, cfg);
+    // llc_mb pinned: goldens were captured without QPRAC_LLC_MB.
+    return runQprac({{"source", workload},
+                     {"insts", std::to_string(insts)},
+                     {"nbo", "8"},
+                     {"llc_mb", "2"}});
 }
 
 } // namespace
@@ -255,14 +268,8 @@ TEST(MemorySystem, AttackOnChannel0NeverPerturbsChannel1)
 
 TEST(MemorySystem, TwoChannelRunSplitsTrafficAndExportsPerChannelStats)
 {
-    sim::ExperimentConfig cfg;
-    cfg.insts_per_core = 20'000;
-    cfg.num_cores = 2;
-    cfg.threads = 1;
-    cfg.channels = 2;
-    sim::DesignSpec d =
-        sim::DesignSpec::qprac(core::QpracConfig::base(32, 1));
-    sim::SimResult r = sim::runOne(sim::findWorkload("429.mcf"), d, cfg);
+    sim::SimResult r = runQprac(
+        {{"source", "429.mcf"}, {"insts", "20000"}, {"channels", "2"}});
     ASSERT_TRUE(r.stats.has("ch0.dram.acts"));
     ASSERT_TRUE(r.stats.has("ch1.dram.acts"));
     // Both channels served traffic, and the aggregate is their sum.
@@ -278,16 +285,13 @@ TEST(MemorySystem, TwoChannelRunSplitsTrafficAndExportsPerChannelStats)
 
 TEST(MemorySystem, TwoChannelRunIsDeterministic)
 {
-    sim::ExperimentConfig cfg;
-    cfg.insts_per_core = 10'000;
-    cfg.num_cores = 2;
-    cfg.threads = 1;
-    cfg.channels = 2;
-    cfg.mapping = MappingScheme::RoRaBgBaCoCh;
-    sim::DesignSpec d =
-        sim::DesignSpec::qprac(core::QpracConfig::base(32, 1));
-    sim::SimResult a = sim::runOne(sim::findWorkload("450.soplex"), d, cfg);
-    sim::SimResult b = sim::runOne(sim::findWorkload("450.soplex"), d, cfg);
+    const std::vector<std::pair<std::string, std::string>> point = {
+        {"source", "450.soplex"},
+        {"insts", "10000"},
+        {"channels", "2"},
+        {"mapping", "channel-striped"}};
+    sim::SimResult a = runQprac(point);
+    sim::SimResult b = runQprac(point);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.acts, b.acts);
     EXPECT_DOUBLE_EQ(a.ipc_sum, b.ipc_sum);

@@ -313,11 +313,12 @@ TEST(RegistryTest, BackendParamSelectsServiceQueue)
         auto m = MitigationRegistry::instance().create("qprac", p, &c);
         const std::string name = qprac::core::sqBackendName(kind);
         ASSERT_NE(m, nullptr) << name;
-        // Non-default backends surface in the design label.
+        // Non-default backends surface in the design label, spelled
+        // the way the backend key selects them.
         if (kind == qprac::core::SqBackendKind::Linear)
             EXPECT_EQ(m->name(), "QPRAC");
         else
-            EXPECT_EQ(m->name(), "QPRAC@" + name);
+            EXPECT_EQ(m->name(), "QPRAC backend=" + name);
         for (int i = 0; i < 20; ++i)
             act(c, *m, 0, 8 * (i % 3));
         m->onRfm(0, RfmScope::AllBank, true, 0);
@@ -342,17 +343,30 @@ TEST(RegistryTest, ParamsOverridePsqSizeAndBackend)
 
 TEST(RegistryTest, FullQpracConfigPassesThrough)
 {
+    // Every scenario design knob reaches the built QpracConfig, on top
+    // of the named preset.
     PracCounters c(1, 256);
-    qprac::core::QpracConfig cfg = qprac::core::QpracConfig::proactiveEa(64, 2);
-    cfg.proactive_period_refs = 4;
     MitigationParams p;
-    p.qprac = cfg;
-    auto m = MitigationRegistry::instance().create(cfg.registryKey(), p, &c);
+    p.nbo = 64;
+    p.nmit = 2;
+    p.proactive_period = 4;
+    auto m = MitigationRegistry::instance().create("qprac+proactive-ea", p,
+                                                   &c);
     auto* q = dynamic_cast<qprac::core::Qprac*>(m.get());
     ASSERT_NE(q, nullptr);
     EXPECT_EQ(q->config().nbo, 64);
+    EXPECT_EQ(q->config().nmit, 2);
     EXPECT_EQ(q->config().npro, 32);
+    EXPECT_EQ(q->config().proactive, qprac::core::ProactiveMode::EnergyAware);
     EXPECT_EQ(q->config().proactive_period_refs, 4);
+    // 0 keeps the preset's period.
+    p.proactive_period = 0;
+    m = MitigationRegistry::instance().create("qprac+proactive-ea", p, &c);
+    EXPECT_EQ(dynamic_cast<qprac::core::Qprac*>(m.get())
+                  ->config()
+                  .proactive_period_refs,
+              qprac::core::QpracConfig::proactiveEa(64, 2)
+                  .proactive_period_refs);
 }
 
 TEST(RegistryTest, UnknownNamesAreFatal)

@@ -230,6 +230,38 @@ TEST(ScenarioConfigTest, OverridePrecedenceIsLastWins)
     EXPECT_EQ(cfg.psq_size, 9);
 }
 
+TEST(ScenarioConfigTest, ProactivePeriodOnlyForDesignsThatHaveOne)
+{
+    // A design without a proactive period rejects a non-zero one
+    // rather than silently running (and caching) the same design
+    // under a second name; 0, the design default, is always valid.
+    std::string err;
+    for (const char* mitigation :
+         {"qprac+proactive", "qprac+proactive-ea", "moat"}) {
+        ScenarioConfig cfg;
+        ASSERT_TRUE(cfg.set("mitigation", mitigation, &err)) << err;
+        ASSERT_TRUE(cfg.set("proactive_period", "4", &err)) << err;
+        EXPECT_TRUE(cfg.validate(&err)) << mitigation << ": " << err;
+    }
+    for (const char* mitigation :
+         {"none", "qprac", "qprac-noop", "qprac-ideal", "pride"}) {
+        ScenarioConfig cfg;
+        ASSERT_TRUE(cfg.set("mitigation", mitigation, &err)) << err;
+        EXPECT_TRUE(cfg.validate(&err)) << mitigation << ": " << err;
+        ASSERT_TRUE(cfg.set("proactive_period", "4", &err)) << err;
+        EXPECT_FALSE(cfg.validate(&err)) << mitigation;
+        EXPECT_NE(err.find("proactive_period"), std::string::npos) << err;
+    }
+    // A sweep that reaches such a point fails up front.
+    ScenarioConfig base;
+    sim::SweepSpec spec;
+    ASSERT_TRUE(spec.add("mitigation=moat,qprac", &err)) << err;
+    ASSERT_TRUE(spec.add("proactive_period=4", &err)) << err;
+    EXPECT_TRUE(sim::runSweep(base, spec, &err).empty());
+    EXPECT_NE(err.find("has no proactive period"), std::string::npos)
+        << err;
+}
+
 TEST(ScenarioConfigTest, ExperimentResolvesDefaults)
 {
     clearHarnessEnv();
@@ -268,7 +300,7 @@ TEST(ScenarioConfigTest, DesignMirrorsLegacyWiring)
     ASSERT_TRUE(cfg.set("mitigation", "pride", &err)) << err;
     d = cfg.design();
     EXPECT_FALSE(d.abo.enabled);
-    EXPECT_EQ(d.baseline_key, "noprac");
+    EXPECT_LT(d.timing.tRC, dram::TimingParams::ddr5Prac().tRC);
     EXPECT_GT(d.rfm_policy.acts_per_rfm, 0);
 
     ASSERT_TRUE(cfg.set("mitigation", "none", &err)) << err;

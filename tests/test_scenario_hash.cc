@@ -58,7 +58,11 @@ TEST(ScenarioHash, HashedPlusExcludedCoversEveryKey)
     std::vector<std::string> all = scenarioHashedKeys();
     for (const auto& key : scenarioHashExcludedKeys())
         all.push_back(key);
+    // Every live key: the listed ones plus the optional rows.
     std::vector<std::string> expected = ScenarioConfig::keys();
+    for (const auto& k : qprac::sim::scenarioKeyTable())
+        if (k.optional && !k.retired)
+            expected.push_back(k.name);
     std::sort(all.begin(), all.end());
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(all, expected);
@@ -156,6 +160,7 @@ TEST(ScenarioHash, ResultBearingKeysEachMoveTheHash)
         {"seed", "7"},
         {"llc_mb", "2"},
         {"baseline", "true"},
+        {"proactive_period", "4"},
         {"r1", "1234"},
         {"attack_cycles", "5000"},
     };
@@ -179,23 +184,83 @@ TEST(ScenarioHash, CanonicalKeyShape)
 {
     // The counter-architecture keys serialize only when counter-update
     // leaves the inline default (they are result-neutral layout
-    // otherwise); every other hashed key always appears.
+    // otherwise), and proactive_period only when it leaves its design
+    // default of 0; every other hashed key always appears.
     const std::string key = scenarioCanonicalKey(ScenarioConfig{});
     EXPECT_EQ(key.rfind("qprac-scenario-v1\n", 0), 0u) << key;
     for (const auto& hashed : scenarioHashedKeys()) {
-        if (isCounterArchKey(hashed)) {
+        if (isCounterArchKey(hashed) || hashed == "proactive_period") {
             EXPECT_EQ(key.find("\n" + hashed + "="), std::string::npos)
-                << hashed << " leaked into an inline config:\n" << key;
+                << hashed << " leaked into a default config:\n" << key;
             continue;
         }
         EXPECT_NE(key.find("\n" + hashed + "="), std::string::npos)
             << hashed << " missing from:\n" << key;
     }
-    const std::string queued =
-        scenarioCanonicalKey(withSets({{"counter-update", "queued"}}));
+    const std::string queued = scenarioCanonicalKey(withSets(
+        {{"counter-update", "queued"}, {"proactive_period", "4"}}));
     for (const auto& hashed : scenarioHashedKeys())
         EXPECT_NE(queued.find("\n" + hashed + "="), std::string::npos)
             << hashed << " missing from:\n" << queued;
+}
+
+TEST(ScenarioHash, ProactivePeriodHashesOnlyOffItsDefault)
+{
+    // At 0 (the design default) the key leaves every canonical key
+    // byte-identical to one written before the key existed, so old
+    // sidecars still hit; any other period is a different design.
+    for (const char* mitigation : {"qprac+proactive-ea", "moat"}) {
+        const ScenarioConfig plain = withSets({{"mitigation", mitigation}});
+        const ScenarioConfig zero = withSets(
+            {{"mitigation", mitigation}, {"proactive_period", "0"}});
+        EXPECT_EQ(scenarioCanonicalKey(zero), scenarioCanonicalKey(plain));
+        EXPECT_EQ(scenarioCanonicalKey(plain).find("proactive_period"),
+                  std::string::npos);
+        const std::uint64_t p1 = scenarioHash(withSets(
+            {{"mitigation", mitigation}, {"proactive_period", "1"}}));
+        const std::uint64_t p4 = scenarioHash(withSets(
+            {{"mitigation", mitigation}, {"proactive_period", "4"}}));
+        EXPECT_NE(p1, scenarioHash(plain)) << mitigation;
+        EXPECT_NE(p4, scenarioHash(plain)) << mitigation;
+        EXPECT_NE(p1, p4) << mitigation;
+    }
+}
+
+TEST(ScenarioHash, ConventionalTimingBaselinesRekey)
+{
+    // baseline=true runs the insecure companion under the design's own
+    // timings. That changed the results of the conventional-timing
+    // designs only, so exactly their baseline points moved to new
+    // hashes (they print baseline = noprac); every other point keeps
+    // the hash it had when every baseline ran PRAC timings.
+    unsetenv("QPRAC_INSTS");
+    unsetenv("QPRAC_SEED");
+    unsetenv("QPRAC_LLC_MB");
+    auto hashOf = [](const char* mitigation, const char* baseline) {
+        return scenarioHashHex(withSets({{"source", "workload:403.gcc"},
+                                         {"insts", "15000"},
+                                         {"mitigation", mitigation},
+                                         {"nbo", "1024"},
+                                         {"baseline", baseline}}));
+    };
+    // Hashes of the PRAC-timed-baseline rule.
+    EXPECT_NE(hashOf("pride", "true"), "7090309092b5471b");
+    EXPECT_NE(hashOf("mithril", "true"), "874f3088fea63af6");
+    EXPECT_EQ(hashOf("qprac", "true"), "88267e541097bb92");
+    EXPECT_EQ(hashOf("qprac+proactive-ea", "true"), "a27a2089772cc34d");
+    EXPECT_EQ(hashOf("none", "true"), "c1a1c9c50ac058bf");
+    EXPECT_EQ(hashOf("pride", "false"), "5adf1fda919d7250");
+    EXPECT_EQ(hashOf("mithril", "false"), "34d4d76968ca1b23");
+    // The spelling round-trips: noprac loads back as the same point.
+    const ScenarioConfig pride = withSets({{"mitigation", "pride"},
+                                           {"baseline", "true"}});
+    EXPECT_EQ(pride.get("baseline"), "noprac");
+    ScenarioConfig reloaded;
+    std::string err;
+    ASSERT_TRUE(ScenarioConfig::fromIniText(pride.toIni(), &reloaded, &err))
+        << err;
+    EXPECT_EQ(scenarioHash(reloaded), scenarioHash(pride));
+    EXPECT_TRUE(reloaded.validate(&err)) << err;
 }
 
 TEST(ScenarioHash, CounterUpdateKeysMoveTheHashOnlyWhenQueued)
@@ -327,8 +392,11 @@ TEST(ScenarioHash, OmittedCounterArchKeysLeaveInlineResultsByteIdentical)
     const std::vector<std::pair<std::string, std::string>> flips = {
         {"subarrays", "128"}, {"cuq_depth", "4"}};
     std::vector<std::string> table, covered;
+    // proactive_period is omitted only at 0, its design default
+    // (ProactivePeriodHashesOnlyOffItsDefault).
     for (const auto& k : qprac::sim::scenarioKeyTable())
-        if (k.omit && std::string(k.name) != "counter-update")
+        if (k.omit && std::string(k.name) != "counter-update" &&
+            std::string(k.name) != "proactive_period")
             table.push_back(k.name);
     for (const auto& [key, value] : flips)
         covered.push_back(key);
@@ -353,6 +421,26 @@ constexpr const char* kGoldenCoalesced = "f9a6d1e988409a9f";
 // existing cache directory. If a change here is intentional, bump the
 // canonical format tag (qprac-scenario-v1) so old entries are orphaned
 // loudly, and re-pin.
+TEST(ScenarioHash, ProactivePeriodChangesProactiveResults)
+{
+    // The key reaches both designs that have a proactive period, so
+    // the points it hashes apart really are different results (on an
+    // alert-storming point: NBO=4 over enough REFs to space out).
+    for (const char* mitigation : {"qprac+proactive-ea", "moat"}) {
+        ScenarioConfig cfg = withSets({{"source", "workload:429.mcf"},
+                                       {"insts", "20000"},
+                                       {"cores", "1"},
+                                       {"nbo", "4"},
+                                       {"threads", "1"},
+                                       {"mitigation", mitigation}});
+        std::string err;
+        ASSERT_TRUE(cfg.set("proactive_period", "1", &err)) << err;
+        const std::string every = resultOf(cfg);
+        ASSERT_TRUE(cfg.set("proactive_period", "4", &err)) << err;
+        EXPECT_NE(resultOf(cfg), every) << mitigation;
+    }
+}
+
 TEST(ScenarioHash, GoldenValues)
 {
     EXPECT_EQ(scenarioHashHex(withSets({{"source", "workload:429.mcf"},

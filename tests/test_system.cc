@@ -5,42 +5,42 @@
  */
 #include <gtest/gtest.h>
 
-#include "core/qprac.h"
-#include "sim/experiment.h"
-#include "sim/system.h"
-#include "sim/workloads.h"
+#include "sim/scenario.h"
 
 using namespace qprac;
-using core::QpracConfig;
-using sim::DesignSpec;
-using sim::ExperimentConfig;
-using sim::findWorkload;
-using sim::makeTrace;
-using sim::runOne;
+using sim::ScenarioConfig;
 using sim::SimResult;
-using sim::System;
-using sim::SystemConfig;
 
 namespace {
 
-ExperimentConfig
-quickCfg(std::uint64_t insts = 30'000)
+/** A short 2-core scenario of @p mitigation on @p workload. */
+ScenarioConfig
+quickCfg(const std::string& workload, const std::string& mitigation,
+         std::uint64_t insts = 30'000, int nbo = 32)
 {
-    ExperimentConfig cfg;
-    cfg.insts_per_core = insts;
-    cfg.num_cores = 2;
-    cfg.threads = 1;
+    ScenarioConfig cfg;
+    std::string err;
+    EXPECT_TRUE(cfg.set("source", workload, &err) &&
+                cfg.set("mitigation", mitigation, &err) &&
+                cfg.set("insts", std::to_string(insts), &err) &&
+                cfg.set("nbo", std::to_string(nbo), &err) &&
+                cfg.set("cores", "2", &err) && cfg.set("threads", "1", &err))
+        << err;
     return cfg;
+}
+
+SimResult
+run(const std::string& workload, const std::string& mitigation,
+    std::uint64_t insts = 30'000, int nbo = 32)
+{
+    return sim::runScenario(quickCfg(workload, mitigation, insts, nbo)).sim;
 }
 
 } // namespace
 
 TEST(SystemIntegration, BaselineRunCompletes)
 {
-    DesignSpec base;
-    base.label = "baseline";
-    base.abo.enabled = false;
-    SimResult r = runOne(findWorkload("429.mcf"), base, quickCfg());
+    SimResult r = run("429.mcf", "none");
     EXPECT_GT(r.ipc_sum, 0.0);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.acts, 0.0);
@@ -50,22 +50,15 @@ TEST(SystemIntegration, BaselineRunCompletes)
 
 TEST(SystemIntegration, LowIntensityWorkloadHasLowRbmpki)
 {
-    DesignSpec base;
-    base.abo.enabled = false;
-    SimResult r = runOne(findWorkload("511.povray_r"), base, quickCfg());
+    SimResult r = run("511.povray_r", "none");
     EXPECT_LT(r.rbmpki, 2.0);
     EXPECT_GT(r.ipc_sum, 2.0); // barely memory-bound: high IPC
 }
 
 TEST(SystemIntegration, QpracRunsCloseToBaseline)
 {
-    auto wl = findWorkload("429.mcf");
-    auto cfg = quickCfg();
-    DesignSpec base;
-    base.abo.enabled = false;
-    DesignSpec qprac = DesignSpec::qprac(QpracConfig::base(32, 1));
-    SimResult rb = runOne(wl, base, cfg);
-    SimResult rq = runOne(wl, qprac, cfg);
+    SimResult rb = run("429.mcf", "none");
+    SimResult rq = run("429.mcf", "qprac");
     double norm = rq.ipc_sum / rb.ipc_sum;
     EXPECT_GT(norm, 0.90);
     EXPECT_LE(norm, 1.02);
@@ -75,12 +68,8 @@ TEST(SystemIntegration, ProactiveEliminatesAlerts)
 {
     // Short runs accumulate modest per-row counts; a low NBO recreates
     // the alert dynamics of a long NBO=32 run.
-    auto wl = findWorkload("510.parest_r");
-    auto cfg = quickCfg(60'000);
-    DesignSpec noop = DesignSpec::qprac(QpracConfig::noOp(8, 1));
-    DesignSpec pro = DesignSpec::qprac(QpracConfig::proactiveEvery(8, 1));
-    SimResult rn = runOne(wl, noop, cfg);
-    SimResult rp = runOne(wl, pro, cfg);
+    SimResult rn = run("510.parest_r", "qprac-noop", 60'000, 8);
+    SimResult rp = run("510.parest_r", "qprac+proactive", 60'000, 8);
     EXPECT_GT(rn.alerts_per_trefi, 0.05);
     EXPECT_LT(rp.alerts_per_trefi, rn.alerts_per_trefi * 0.5);
     EXPECT_GT(rp.stats.get("mit.proactive_mitigations"), 0.0);
@@ -88,23 +77,16 @@ TEST(SystemIntegration, ProactiveEliminatesAlerts)
 
 TEST(SystemIntegration, OpportunisticReducesAlertsVsNoOp)
 {
-    auto wl = findWorkload("429.mcf");
-    auto cfg = quickCfg(60'000);
-    SimResult rn =
-        runOne(wl, DesignSpec::qprac(QpracConfig::noOp(8, 1)), cfg);
-    SimResult rq =
-        runOne(wl, DesignSpec::qprac(QpracConfig::base(8, 1)), cfg);
+    SimResult rn = run("429.mcf", "qprac-noop", 60'000, 8);
+    SimResult rq = run("429.mcf", "qprac", 60'000, 8);
     EXPECT_GT(rn.alerts_per_trefi, 0.0);
     EXPECT_LT(rq.alerts_per_trefi, rn.alerts_per_trefi);
 }
 
 TEST(SystemIntegration, DeterministicAcrossRuns)
 {
-    auto wl = findWorkload("450.soplex");
-    auto cfg = quickCfg(10'000);
-    DesignSpec d = DesignSpec::qprac(QpracConfig::base(32, 1));
-    SimResult a = runOne(wl, d, cfg);
-    SimResult b = runOne(wl, d, cfg);
+    SimResult a = run("450.soplex", "qprac", 10'000);
+    SimResult b = run("450.soplex", "qprac", 10'000);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.acts, b.acts);
     EXPECT_DOUBLE_EQ(a.ipc_sum, b.ipc_sum);
@@ -112,25 +94,25 @@ TEST(SystemIntegration, DeterministicAcrossRuns)
 
 TEST(SystemIntegration, RunComparisonComputesNormPerf)
 {
-    std::vector<sim::Workload> wls = {findWorkload("403.gcc"),
-                                      findWorkload("429.mcf")};
-    std::vector<DesignSpec> designs = {
-        DesignSpec::qprac(QpracConfig::proactiveEa(32, 1))};
-    auto rows = sim::runComparison(wls, designs, quickCfg(15'000));
-    ASSERT_EQ(rows.size(), 2u);
-    for (const auto& row : rows) {
-        ASSERT_EQ(row.designs.size(), 1u);
-        EXPECT_GT(row.designs[0].norm_perf, 0.85);
-        EXPECT_LT(row.designs[0].norm_perf, 1.1);
-        EXPECT_GT(row.base_rbmpki, 0.0);
+    // baseline=true pairs a design run with its insecure baseline.
+    for (const char* workload : {"403.gcc", "429.mcf"}) {
+        ScenarioConfig cfg =
+            quickCfg(workload, "qprac+proactive-ea", 15'000);
+        std::string err;
+        ASSERT_TRUE(cfg.set("baseline", "true", &err)) << err;
+        sim::ScenarioResult r = sim::runScenario(cfg);
+        ASSERT_TRUE(r.has_baseline);
+        EXPECT_DOUBLE_EQ(r.norm_perf,
+                         r.sim.ipc_sum / r.baseline_sim.ipc_sum);
+        EXPECT_GT(r.norm_perf, 0.85);
+        EXPECT_LT(r.norm_perf, 1.1);
+        EXPECT_GT(r.baseline_sim.rbmpki, 0.0);
     }
-    EXPECT_GT(sim::geomeanNormPerf(rows, 0), 0.85);
 }
 
 TEST(SystemIntegration, StatsExportedCoherently)
 {
-    DesignSpec d = DesignSpec::qprac(QpracConfig::base(32, 1));
-    SimResult r = runOne(findWorkload("470.lbm"), d, quickCfg(20'000));
+    SimResult r = run("470.lbm", "qprac", 20'000);
     // Reads observed at the DRAM match LLC fills.
     EXPECT_NEAR(r.stats.get("dram.reads"),
                 r.stats.get("ctrl.reads_done"), 1.0);

@@ -17,7 +17,8 @@
  *                          --list for all 57
  *     --trace PATH         trace file instead of a synthetic workload
  *                          ("<bubbles> <load_addr> [<store_addr>]")
- *     --baseline           also run the insecure baseline
+ *     --baseline           also run the insecure baseline (with the
+ *                          design's own timings)
  *     --stats              dump the full stat set
  *     --config FILE        load a scenario config file first
  *     --set key=value      override any scenario key (repeatable)
