@@ -39,7 +39,8 @@ class AttackTrafficGen
             int row = 8 + cursor * 8;
             cursor = (cursor + 1) % carousel_;
             Addr addr = mapper_.makeAddr(0, rank, bg, bank, row, 0);
-            if (!mem.enqueueRead(addr, mapper_.decode(addr), 0, {}, now))
+            if (!mem.enqueueRead(addr, mapper_.decode(addr), 0,
+                                 ctrl::kNoCompletion, now))
                 break;
         }
     }

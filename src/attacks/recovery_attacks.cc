@@ -30,8 +30,13 @@ nextPhase(Cycle now, Cycle period, Cycle offset)
     return now + 1 + (offset + period - (now + 1) % period) % period;
 }
 
-/** Common driver state for both recovery attacks. */
-class RecoveryDriver
+/**
+ * Common driver state for both recovery attacks. The driver is the
+ * memory system's ReadClient; a read's tag says what its completion
+ * updates: tags below attack_banks name an attacker bank, the rest
+ * index probes_.
+ */
+class RecoveryDriver final : public ctrl::ReadClient
 {
   public:
     explicit RecoveryDriver(const RecoveryAttackConfig& cfg)
@@ -44,6 +49,7 @@ class RecoveryDriver
                       cfg.attack_banks <= cfg.org.banksPerRank(),
                   "attack_banks out of range");
         attacker_.resize(static_cast<std::size_t>(cfg.attack_banks));
+        mem_.setReadClient(this);
         if (cfg.recorder) {
             mem_.setEventRecorder(cfg.recorder);
             driver_sink_ = cfg.recorder->driverSink();
@@ -63,25 +69,11 @@ class RecoveryDriver
         // The probe pool is tiny versus the 64-entry read queue; a
         // full queue would itself be recovery-induced backpressure,
         // so a dropped probe is simply skipped, never retried.
-        //
-        // Probe events land on the recorder's driver lane, stamped at
-        // issue with the measured latency — completions fire from
-        // MemorySystem::step on this thread in delivery order, so the
-        // lane stays single-writer.
-        obs::EventSink* sink = driver_sink_;
-        const int channel = t.channel;
-        mem_.enqueueRead(mapper_.encode(dec), dec, /*source=*/1,
-                         [stats, now, sink, channel](Cycle done) {
-                             ++stats->probes;
-                             stats->latency_sum += done - now;
-                             if (sink)
-                                 sink->record(
-                                     obs::kAttack, now, "probe",
-                                     "channel", channel, "latency",
-                                     static_cast<std::int64_t>(done -
-                                                               now));
-                         },
-                         now);
+        const auto tag =
+            static_cast<std::uint32_t>(attacker_.size() + probes_.size());
+        if (mem_.enqueueRead(mapper_.encode(dec), dec, /*source=*/1, tag,
+                             now))
+            probes_.push_back({stats, now, t.channel});
     }
 
     /**
@@ -105,10 +97,7 @@ class RecoveryDriver
                     row, 0));
                 if (!mem_.enqueueRead(mapper_.encode(dec), dec,
                                       /*source=*/0,
-                                      [&ab](Cycle) {
-                                          --ab.outstanding;
-                                      },
-                                      now))
+                                      static_cast<std::uint32_t>(b), now))
                     return; // channel 0's queue is full; retry once it frees
                 ++ab.next_row;
                 ++ab.outstanding;
@@ -118,6 +107,25 @@ class RecoveryDriver
     }
 
     std::uint64_t attackerActs() const { return attacker_acts_; }
+
+    void readDone(std::uint32_t tag, Cycle at) override
+    {
+        if (tag < attacker_.size()) {
+            --attacker_[tag].outstanding;
+            return;
+        }
+        // Probe events land on the recorder's driver lane, stamped at
+        // issue with the measured latency — completions are delivered
+        // from MemorySystem::step on this thread in delivery order, so
+        // the lane stays single-writer.
+        const Probe& p = probes_[tag - attacker_.size()];
+        ++p.stats->probes;
+        p.stats->latency_sum += at - p.issued;
+        if (driver_sink_)
+            driver_sink_->record(obs::kAttack, p.issued, "probe", "channel",
+                                 p.channel, "latency",
+                                 static_cast<std::int64_t>(at - p.issued));
+    }
 
     /** Let in-flight probes complete after the measured phases. */
     void drain(Cycle from)
@@ -134,10 +142,19 @@ class RecoveryDriver
         int next_row = 0;
     };
 
+    /** One enqueued probe: where its latency lands. */
+    struct Probe
+    {
+        ProbeStats* stats;
+        Cycle issued;
+        int channel;
+    };
+
     const RecoveryAttackConfig& cfg_;
     dram::AddressMapper mapper_;
     ctrl::MemorySystem mem_;
     std::vector<AttackerBank> attacker_;
+    std::vector<Probe> probes_; ///< every probe enqueued, in tag order
     obs::EventSink* driver_sink_ = nullptr;
     std::uint64_t attacker_acts_ = 0;
 };

@@ -27,7 +27,7 @@ O3Core::dispatchMem(Cycle master_cycle)
 {
     if (current_.is_store) {
         // Stores are posted: occupy a completed window slot.
-        if (!llc_.access(current_.addr, true, id_, {}, master_cycle))
+        if (!llc_.access(current_.addr, true, id_, nullptr, master_cycle))
             return false;
         window_.push_back({true, false});
         ++stores_issued_;
@@ -36,9 +36,8 @@ O3Core::dispatchMem(Cycle master_cycle)
     // Loads block retirement until the hierarchy responds.
     window_.push_back({false, true});
     Slot* slot = &window_.back(); // deque refs survive push/pop at ends
-    bool ok = llc_.access(
-        current_.addr, false, id_, [slot] { slot->completed = true; },
-        master_cycle);
+    bool ok = llc_.access(current_.addr, false, id_, &slot->completed,
+                          master_cycle);
     if (!ok) {
         window_.pop_back();
         return false;

@@ -21,6 +21,7 @@ SharedLlc::SharedLlc(const LlcConfig& config, ctrl::MemorySystem& memory,
                      const dram::AddressMapper& mapper)
     : cfg_(config), memory_(memory), mapper_(mapper)
 {
+    memory_.setReadClient(this);
     pending_writebacks_.resize(
         static_cast<std::size_t>(memory_.channels()));
     // The LLC's admission control is its MSHR file; the per-channel
@@ -118,8 +119,8 @@ SharedLlc::findMshr(Addr line_addr) const
 }
 
 bool
-SharedLlc::access(Addr addr, bool is_store, int source,
-                  std::function<void()> done, Cycle now)
+SharedLlc::access(Addr addr, bool is_store, int source, bool* done,
+                  Cycle now)
 {
     Addr line = lineAddr(addr);
     Line* hit = findLine(line);
@@ -149,8 +150,10 @@ SharedLlc::access(Addr addr, bool is_store, int source,
     if (hit) {
         ++stats_.load_hits;
         hit->lru = ++lru_clock_;
-        hit_events_.push(
-            {now + static_cast<Cycle>(cfg_.hit_latency), std::move(done)});
+        const Cycle at = now + static_cast<Cycle>(cfg_.hit_latency);
+        QP_ASSERT(hits_.empty() || hits_.back().at <= at,
+                  "LLC accessed with a decreasing cycle");
+        hits_.push_back({at, done});
         return true;
     }
 
@@ -158,8 +161,7 @@ SharedLlc::access(Addr addr, bool is_store, int source,
     if (m >= 0) {
         ++stats_.load_misses;
         ++stats_.mshr_merges;
-        mshrs_[static_cast<std::size_t>(m)].waiters.push_back(
-            std::move(done));
+        mshrs_[static_cast<std::size_t>(m)].waiters.push_back(done);
         return true;
     }
     if (mshrs_in_use_ >= cfg_.mshrs)
@@ -180,26 +182,26 @@ SharedLlc::access(Addr addr, bool is_store, int source,
     mshr.line_addr = line;
     mshr.make_dirty = false;
     mshr.waiters.clear();
-    mshr.waiters.push_back(std::move(done));
+    mshr.waiters.push_back(done);
     ++mshrs_in_use_;
 
     Addr full = line * static_cast<Addr>(cfg_.line_bytes);
     dram::DecodedAddr dec = mapper_.decode(full);
-    memory_.submitRead(full, dec, source,
-                       [this, line](Cycle at) { onFill(line, at); }, now);
+    memory_.submitRead(full, dec, source, static_cast<std::uint32_t>(free),
+                       now);
     return true;
 }
 
 void
-SharedLlc::onFill(Addr line_addr, Cycle now)
+SharedLlc::readDone(std::uint32_t tag, Cycle at)
 {
-    int m = findMshr(line_addr);
-    QP_ASSERT(m >= 0, "fill without a matching MSHR");
-    Mshr& mshr = mshrs_[static_cast<std::size_t>(m)];
-    installLine(line_addr, mshr.make_dirty, now);
-    for (auto& fn : mshr.waiters)
-        if (fn)
-            fn();
+    QP_ASSERT(tag < mshrs_.size() && mshrs_[tag].valid,
+              "fill without a matching MSHR");
+    Mshr& mshr = mshrs_[tag];
+    installLine(mshr.line_addr, mshr.make_dirty, at);
+    for (bool* done : mshr.waiters)
+        if (done)
+            *done = true;
     mshr.valid = false;
     mshr.waiters.clear();
     --mshrs_in_use_;
@@ -224,11 +226,10 @@ SharedLlc::drainWritebacks(Cycle now)
 void
 SharedLlc::tick(Cycle now)
 {
-    while (!hit_events_.empty() && hit_events_.top().at <= now) {
-        auto fn = hit_events_.top().fn;
-        hit_events_.pop();
-        if (fn)
-            fn();
+    while (!hits_.empty() && hits_.front().at <= now) {
+        if (bool* done = hits_.front().done)
+            *done = true;
+        hits_.pop_front();
     }
     drainWritebacks(now);
 }
@@ -247,7 +248,7 @@ SharedLlc::quiesced() const
     for (const auto& q : pending_writebacks_)
         if (!q.empty())
             return false;
-    return mshrs_in_use_ == 0 && hit_events_.empty();
+    return mshrs_in_use_ == 0 && hits_.empty();
 }
 
 } // namespace qprac::cpu

@@ -11,8 +11,6 @@
 #define QPRAC_CPU_LLC_H
 
 #include <deque>
-#include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -52,27 +50,35 @@ struct LlcStats
  * Set-associative shared LLC bound to the sharded memory system.
  * Misses and writebacks are mailed to the decoded channel's shard
  * through the epoch engine's SPSC mailboxes (ctrl/memory_system.h);
- * fills return through deliverCompletions at the data-return cycle.
+ * as the memory system's ReadClient, the LLC gets each fill back by
+ * the miss's tag, its MSHR index. A load waits as a `bool*` (the
+ * core's ROB-slot completed flag) on its MSHR or in the hit FIFO.
  * Controller-queue backpressure is applied shard-side at ingest, so
  * one saturated channel does not stall fills or writebacks bound for
  * the others; the LLC's own admission control is its MSHR file, which
  * bounds outstanding fills below any read-queue capacity in use.
  */
-class SharedLlc
+class SharedLlc final : public ctrl::ReadClient
 {
   public:
     SharedLlc(const LlcConfig& config, ctrl::MemorySystem& memory,
               const dram::AddressMapper& mapper);
 
     /**
-     * Access the cache with a line-aligned address.
+     * Access the cache with a line-aligned address. @p now must not
+     * decrease between calls (hits complete in FIFO order).
      *
-     * @param done completion callback (loads only; stores are posted)
+     * @param done set to true when the load's data arrives (loads
+     *        only, may be null; stores are posted). Must stay valid
+     *        until then.
      * @return false when the access cannot be accepted this cycle
-     *         (MSHRs exhausted or the MC write path is saturated)
+     *         (MSHRs exhausted)
      */
-    bool access(Addr addr, bool is_store, int source,
-                std::function<void()> done, Cycle now);
+    bool access(Addr addr, bool is_store, int source, bool* done,
+                Cycle now);
+
+    /** Fill of the MSHR @p tag (its index) arrived at cycle @p at. */
+    void readDone(std::uint32_t tag, Cycle at) override;
 
     /** Advance; delivers hit completions and drains pending writebacks. */
     void tick(Cycle now);
@@ -102,7 +108,7 @@ class SharedLlc
         Addr line_addr = 0;
         bool valid = false;
         bool make_dirty = false;
-        std::vector<std::function<void()>> waiters;
+        std::vector<bool*> waiters; ///< loads merged into this fill
     };
 
     Addr lineAddr(Addr addr) const;
@@ -111,7 +117,6 @@ class SharedLlc
     Line& victimLine(Addr line_addr);
     void installLine(Addr line_addr, bool dirty, Cycle now);
     int findMshr(Addr line_addr) const;
-    void onFill(Addr line_addr, Cycle now);
     void pushWriteback(Addr line_addr);
     void drainWritebacks(Cycle now);
 
@@ -124,15 +129,14 @@ class SharedLlc
     int mshrs_in_use_ = 0;
     std::uint64_t lru_clock_ = 0;
 
-    struct HitEvent
+    /** A load hit waiting out the hit latency. Every hit waits the same
+     * latency, so arrival order is completion order. */
+    struct Hit
     {
         Cycle at;
-        std::function<void()> fn;
-        bool operator>(const HitEvent& o) const { return at > o.at; }
+        bool* done;
     };
-    std::priority_queue<HitEvent, std::vector<HitEvent>,
-                        std::greater<HitEvent>>
-        hit_events_;
+    std::deque<Hit> hits_;
     /**
      * Per-channel writeback overflow (no cross-channel head-of-line):
      * entries wait here until the channel's write mailbox accepts

@@ -75,9 +75,7 @@ MemoryController::setObservability(obs::EventSink* sink,
 
 bool
 MemoryController::enqueueRead(Addr addr, const dram::DecodedAddr& dec,
-                              int source,
-                              std::function<void(Cycle)> on_complete,
-                              Cycle now)
+                              int source, std::uint32_t tag, Cycle now)
 {
     if (reads_.full())
         return false;
@@ -89,7 +87,7 @@ MemoryController::enqueueRead(Addr addr, const dram::DecodedAddr& dec,
     r.arrive = now;
     r.id = next_req_id_++;
     r.source = source;
-    r.on_complete = std::move(on_complete);
+    r.tag = tag;
     reads_.push(std::move(r));
     ++stats_.reads_enqueued;
     return true;
@@ -112,17 +110,6 @@ MemoryController::enqueueWrite(Addr addr, const dram::DecodedAddr& dec,
     writes_.push(std::move(r));
     ++stats_.writes_enqueued;
     return true;
-}
-
-void
-MemoryController::processCompletions(Cycle now)
-{
-    while (!completions_.empty() && completions_.top().at <= now) {
-        Completion c = completions_.top();
-        completions_.pop();
-        if (c.fn)
-            c.fn(c.at);
-    }
 }
 
 bool
@@ -195,7 +182,7 @@ MemoryController::scheduleQueue(RequestQueue& q, bool is_write,
         return true;
       }
       case SchedDecision::Kind::Cas: {
-        Request r = std::move(q.at(d.index));
+        const Request r = q.at(d.index);
         q.erase(d.index);
         ++stats_.row_hits;
         if (is_write) {
@@ -206,11 +193,11 @@ MemoryController::scheduleQueue(RequestQueue& q, bool is_write,
             stats_.read_latency_sum += done - r.arrive;
             if (metrics_)
                 metrics_->read_latency.record(done - r.arrive);
-            if (r.on_complete) {
-                if (completion_sink_)
-                    completion_sink_(done, std::move(r.on_complete));
-                else
-                    completions_.push({done, std::move(r.on_complete)});
+            if (r.tag != kNoCompletion) {
+                QP_ASSERT(done >= done_floor_,
+                          "completion scheduled with less lookahead "
+                          "than the epoch length");
+                done_.push_back({done, r.tag});
             }
         }
         return true;
@@ -301,7 +288,6 @@ MemoryController::maybeTriggerPolicyRfm()
 void
 MemoryController::tick(Cycle now)
 {
-    processCompletions(now);
     abo_.tick(dev_, now);
     refresh_.tick(dev_, now);
     maybeTriggerPolicyRfm();
@@ -380,12 +366,6 @@ MemoryController::nextEventAt(Cycle now, WakeSource* why) const
             src = s;
         }
     };
-
-    // Locally-held completions (sink-less mode only: the epoch engines
-    // install a sink that routes completions into the shard outbox, so
-    // this queue stays empty under the skipping engines).
-    if (!completions_.empty())
-        concern(completions_.top().at, WakeSource::CommandReady);
 
     // Recovery machines (channel-wide ABO + per-bank engines).
     concern(abo_.nextEventAt(dev_, now), WakeSource::Recovery);
@@ -505,7 +485,7 @@ MemoryController::nextEventAt(Cycle now, WakeSource* why) const
 bool
 MemoryController::drained() const
 {
-    return reads_.empty() && writes_.empty() && completions_.empty();
+    return reads_.empty() && writes_.empty() && done_.empty();
 }
 
 CtrlStats

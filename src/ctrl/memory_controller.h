@@ -2,12 +2,15 @@
  * @file
  * The memory controller: request queues, FR-FCFS scheduling with an
  * open-page policy, write draining, refresh, the ABO protocol, and
- * controller-paced RFM policies.
+ * controller-paced RFM policies. Each read CAS appends {data-return
+ * cycle, tag} to one FIFO (completions()); data returns a fixed
+ * tCL + tBL after the CAS (Bank::doRead), so issue order is return
+ * order.
  */
 #ifndef QPRAC_CTRL_MEMORY_CONTROLLER_H
 #define QPRAC_CTRL_MEMORY_CONTROLLER_H
 
-#include <queue>
+#include <deque>
 #include <string>
 
 #include "common/stats.h"
@@ -47,8 +50,6 @@ enum class WakeSource
     CommandReady,  ///< a queued request's timing constraint expires
     Refresh,       ///< a rank's tREFI deadline or REF drain completes
     Recovery,      ///< an ABO / per-bank recovery machine transition
-    CuqDrain,      ///< counter-update-queue work (lazy: never fires, see
-                   ///< MemoryController::nextEventAt)
     Mailbox,       ///< a staged submit becomes eligible for ingest
     EpochBoundary, ///< the shard window ended before the horizon
 };
@@ -81,25 +82,7 @@ struct CtrlStats
 class MemoryController
 {
   public:
-    /**
-     * Receives every scheduled read completion at CAS-issue time: the
-     * data-return cycle plus the requester's callback. The epoch engine
-     * (ctrl/memory_system.h) installs one per shard to route
-     * completions into that shard's outbox mailbox; without a sink the
-     * controller fires callbacks itself at the completion cycle.
-     *
-     * Scheduling happens tCL + tBL cycles before the completion fires —
-     * the lookahead the engine's epoch length is derived from.
-     */
-    using CompletionSink =
-        std::function<void(Cycle at, std::function<void(Cycle)> fn)>;
-
     MemoryController(dram::DramDevice& dev, const ControllerConfig& config);
-
-    void setCompletionSink(CompletionSink sink)
-    {
-        completion_sink_ = std::move(sink);
-    }
 
     /**
      * Attach the shard's observability lanes (either may be null).
@@ -109,11 +92,12 @@ class MemoryController
     void setObservability(obs::EventSink* sink, obs::ShardMetrics* metrics);
 
     /**
-     * Enqueue a read; @p on_complete fires at data return.
+     * Enqueue a read. Unless @p tag is kNoCompletion, its CAS appends
+     * {data-return cycle, tag} to completions().
      * @return false when the read queue is full (caller retries).
      */
     bool enqueueRead(Addr addr, const dram::DecodedAddr& dec, int source,
-                     std::function<void(Cycle)> on_complete, Cycle now);
+                     std::uint32_t tag, Cycle now);
 
     /** Enqueue a posted write; false when the write queue is full. */
     bool enqueueWrite(Addr addr, const dram::DecodedAddr& dec, int source,
@@ -125,9 +109,8 @@ class MemoryController
     /**
      * Event horizon for the cycle-skipping engine: the earliest future
      * cycle (> @p now) at which this controller could change observable
-     * state — issue a command, fire a completion, or move a state
-     * machine — assuming *no external input* (no enqueue) arrives in
-     * between. Call after tick(now); the MemorySystem shard loop jumps
+     * state — issue a command or move a state machine — assuming *no
+     * external input* (no enqueue) arrives in between. Call after tick(now); the MemorySystem shard loop jumps
      * straight to the returned cycle.
      *
      * Contract: the bound is conservative (never over-reports). Waking
@@ -144,7 +127,8 @@ class MemoryController
      * left the queue. CounterUpdateQueues contribute no concern at
      * all: their drains are evaluated lazily at command time
      * (dram/counter_update.h), so between commands they cannot change
-     * state — the CuqDrain wake source is honestly zero.
+     * state. Nor do queued completions: the controller only appends
+     * them, and whoever drains completions() wakes on their stamps.
      *
      * Cost: proportional to the queued requests — each (bank, closed/
      * hit/conflict) pair is evaluated once per queue — plus a bank scan
@@ -157,8 +141,16 @@ class MemoryController
      */
     Cycle nextEventAt(Cycle now, WakeSource* why = nullptr) const;
 
-    /** True when no requests are queued or in flight. */
+    /** True when no requests are queued or awaiting delivery. */
     bool drained() const;
+
+    /** Read completions not yet delivered, in data-return order; the
+     * owner (MemorySystem::deliverCompletions) pops them when due. */
+    std::deque<ReadDone>& completions() { return done_; }
+
+    /** Completions appended from now on must return at or after @p at
+     * (asserted): the epoch engine's lookahead guard. */
+    void setCompletionFloor(Cycle at) { done_floor_ = at; }
 
     bool readQueueFull() const { return reads_.full(); }
     bool writeQueueFull() const { return writes_.full(); }
@@ -170,14 +162,6 @@ class MemoryController
     dram::DramDevice& device() { return dev_; }
 
   private:
-    struct Completion
-    {
-        Cycle at;
-        std::function<void(Cycle)> fn;
-        bool operator>(const Completion& o) const { return at > o.at; }
-    };
-
-    void processCompletions(Cycle now);
     bool issueQuiescePre(Cycle now);
     bool scheduleQueue(RequestQueue& q, bool is_write,
                        const SchedConstraints& cons, Cycle now);
@@ -201,7 +185,6 @@ class MemoryController
 
     dram::DramDevice& dev_;
     ControllerConfig cfg_;
-    CompletionSink completion_sink_;
     obs::EventSink* sink_ = nullptr;
     obs::ShardMetrics* metrics_ = nullptr;
     RequestQueue reads_;
@@ -209,9 +192,8 @@ class MemoryController
     bool drain_mode_ = false;
     AboEngine abo_;
     RefreshScheduler refresh_;
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<Completion>>
-        completions_;
+    std::deque<ReadDone> done_; ///< see completions()
+    Cycle done_floor_ = 0;      ///< see setCompletionFloor()
     std::uint64_t acts_since_policy_rfm_ = 0;
     std::vector<std::uint32_t> bank_policy_acts_; ///< per-bank RAA counters
     std::vector<char> bank_rfm_pending_;

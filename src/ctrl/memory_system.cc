@@ -11,8 +11,7 @@ namespace {
 
 /**
  * Mailbox sizing. Reads are bounded by the LLC's MSHR file (64 by
- * default) plus one epoch of completion-freed re-issues; completions
- * by outstanding reads plus one epoch of delivery lag. Writebacks have
+ * default) plus one epoch of completion-freed re-issues. Writebacks have
  * no architectural bound — the LLC keeps its unbounded pending deque
  * as the overflow buffer and retries when submitWrite reports a full
  * ring — so the ring only needs to cover the in-flight window.
@@ -33,9 +32,6 @@ SkipStats::note(WakeSource why)
         break;
       case WakeSource::Recovery:
         ++wakes_recovery;
-        break;
-      case WakeSource::CuqDrain:
-        ++wakes_cuq;
         break;
       case WakeSource::Mailbox:
         ++wakes_mailbox;
@@ -60,7 +56,6 @@ SkipStats::noteDense(WakeSource why)
       case WakeSource::Recovery:
         ++dense_recovery;
         break;
-      case WakeSource::CuqDrain:
       case WakeSource::Mailbox:
       case WakeSource::EpochBoundary:
         panic("dense tick attributed to a non-controller wake source");
@@ -78,7 +73,6 @@ SkipStats::add(const SkipStats& o)
     wakes_command += o.wakes_command;
     wakes_refresh += o.wakes_refresh;
     wakes_recovery += o.wakes_recovery;
-    wakes_cuq += o.wakes_cuq;
     wakes_mailbox += o.wakes_mailbox;
     wakes_epoch += o.wakes_epoch;
 }
@@ -111,21 +105,7 @@ MemorySystem::MemorySystem(const dram::Organization& org,
         s.read_in = std::make_unique<SpscRing<SubmitMsg>>(kMailboxCapacity);
         s.write_in =
             std::make_unique<SpscRing<SubmitMsg>>(kMailboxCapacity);
-        s.complete_out =
-            std::make_unique<SpscRing<CompletionMsg>>(kMailboxCapacity);
         shards_.push_back(std::move(s));
-        // shards_ is reserved up front, so this reference stays valid.
-        Shard& ref = shards_.back();
-        ref.controller->setCompletionSink(
-            [&ref](Cycle at, std::function<void(Cycle)> fn) {
-                // The engine's safety condition: everything emitted in
-                // an epoch fires strictly after it.
-                QP_ASSERT(at >= ref.epoch_end,
-                          "completion scheduled with less lookahead "
-                          "than the epoch length");
-                bool ok = ref.complete_out->push({at, std::move(fn)});
-                QP_ASSERT(ok, "completion outbox overflow");
-            });
     }
 }
 
@@ -147,16 +127,13 @@ MemorySystem::shard(int channel) const
 
 bool
 MemorySystem::enqueueRead(Addr addr, const dram::DecodedAddr& dec,
-                          int source,
-                          std::function<void(Cycle)> on_complete,
-                          Cycle now)
+                          int source, std::uint32_t tag, Cycle now)
 {
     // Direct enqueues bypass the mailboxes, so the persisted horizon
     // no longer bounds the next event: tick densely until recomputed.
     shard(dec.channel).wake_at = 0;
     return shard(dec.channel)
-        .controller->enqueueRead(addr, dec, source, std::move(on_complete),
-                                 now);
+        .controller->enqueueRead(addr, dec, source, tag, now);
 }
 
 bool
@@ -182,13 +159,10 @@ MemorySystem::writeQueueFull(int channel) const
 
 void
 MemorySystem::submitRead(Addr addr, const dram::DecodedAddr& dec,
-                         int source,
-                         std::function<void(Cycle)> on_complete,
-                         Cycle now)
+                         int source, std::uint32_t tag, Cycle now)
 {
-    bool ok = shard(dec.channel)
-                  .read_in->push(
-                      {addr, dec, source, now, std::move(on_complete)});
+    bool ok =
+        shard(dec.channel).read_in->push({addr, dec, source, now, tag});
     QP_ASSERT(ok, "read mailbox overflow (MSHR file larger than the "
                   "mailbox capacity?)");
 }
@@ -198,7 +172,7 @@ MemorySystem::submitWrite(Addr addr, const dram::DecodedAddr& dec,
                           int source, Cycle now)
 {
     return shard(dec.channel)
-        .write_in->push({addr, dec, source, now, {}});
+        .write_in->push({addr, dec, source, now, kNoCompletion});
 }
 
 void
@@ -230,8 +204,7 @@ MemorySystem::ingest(Shard& s, Cycle now)
         if (m->stamp >= now || s.controller->readQueueFull())
             break;
         bool ok = s.controller->enqueueRead(m->addr, m->dec, m->source,
-                                            std::move(m->on_complete),
-                                            now - 1);
+                                            m->tag, now - 1);
         QP_ASSERT(ok, "read admission raced with readQueueFull()");
         s.read_in->popFront();
     }
@@ -286,14 +259,12 @@ void
 MemorySystem::deliverCompletions(Cycle now)
 {
     for (auto& s : shards_) {
-        while (CompletionMsg* m = s.complete_out->peek()) {
-            if (m->at > now)
-                break;
-            auto fn = std::move(m->fn);
-            Cycle at = m->at;
-            s.complete_out->popFront();
-            if (fn)
-                fn(at);
+        std::deque<ReadDone>& done = s.controller->completions();
+        while (!done.empty() && done.front().at <= now) {
+            const ReadDone d = done.front();
+            done.pop_front();
+            QP_ASSERT(client_, "tagged read completed with no ReadClient");
+            client_->readDone(d.tag, d.at);
         }
     }
 }
@@ -314,7 +285,7 @@ MemorySystem::runShard(int channel, Cycle begin, Cycle end,
                        Cycle emit_guard)
 {
     Shard& s = shard(channel);
-    s.epoch_end = emit_guard;
+    s.controller->setCompletionFloor(emit_guard);
     // Next-event loop: after each tick the controller advertises the
     // earliest cycle it could act again (nextEventAt, a conservative
     // bound), and the loop jumps straight there. Two clamps keep the
@@ -377,14 +348,15 @@ Cycle
 MemorySystem::step(Cycle now, Cycle limit)
 {
     QP_ASSERT(limit > now, "empty step");
-    // Completions fire at their outbox stamps; queue space frees only
-    // at a controller event, which the horizon bounds (0 right after a
-    // direct enqueue); the epoch bound keeps every completion emitted
-    // inside the window at or after `next`.
+    // Completions are delivered at their FIFO stamps; queue space
+    // frees only at a controller event, which the horizon bounds (0
+    // right after a direct enqueue); the epoch bound keeps every
+    // completion emitted inside the window at or after `next`.
     Cycle next = std::min(limit, now + epoch_);
     for (auto& s : shards_) {
-        if (const CompletionMsg* m = s.complete_out->peek())
-            next = std::min(next, m->at + 1);
+        const std::deque<ReadDone>& done = s.controller->completions();
+        if (!done.empty())
+            next = std::min(next, done.front().at + 1);
         if (s.wake_at < next)
             next = std::max(s.wake_at, now) + 1;
     }
@@ -428,7 +400,7 @@ MemorySystem::drained() const
 {
     for (const auto& s : shards_)
         if (!s.controller->drained() || !s.read_in->empty() ||
-            !s.write_in->empty() || !s.complete_out->empty())
+            !s.write_in->empty())
             return false;
     return true;
 }

@@ -14,21 +14,25 @@
  *
  * # The epoch engine
  *
- * The LLC<->shard handoff runs over per-shard SPSC mailboxes: request
- * submits flow in (submitRead/submitWrite, stamped with their cycle),
- * read completions flow out (emitted at CAS-issue time, stamped with
- * the data-return cycle). That decoupling lets shards execute a whole
- * *epoch* of cycles at a time — runEpoch(begin, end) — with no access
- * to LLC/core state. Determinism is by construction, not by luck:
+ * Requests flow in over per-shard SPSC mailboxes (submitRead/
+ * submitWrite, stamped with their cycle). Read completions flow out as
+ * plain data: a read carries a std::uint32_t tag, its CAS appends
+ * {data-return cycle, tag} to its controller's completion FIFO, and
+ * deliverCompletions hands each due pair to the one registered
+ * ReadClient (the LLC, or a direct driver). That decoupling lets
+ * shards execute a whole *epoch* of cycles at a time —
+ * runEpoch(begin, end) — with no access to LLC/core state.
+ * Determinism is by construction, not by luck:
  *
  *  - A submit stamped t is ingested by its shard before the shard's
  *    tick t+1 — exactly when the serial loop's controller first saw a
  *    request enqueued at t.
  *  - A read completion is *scheduled* at CAS issue with a fixed
  *    tCL + tBL data-return latency, so every completion that fires
- *    inside an epoch was already sitting in the outbox before that
+ *    inside an epoch was already sitting in its FIFO before that
  *    epoch's main phase began, provided the epoch is no longer than
  *    that latency. epochLength() is derived as exactly this bound.
+ *    The fixed latency also makes each FIFO sorted by data return.
  *  - Completions drain at deterministic cycle boundaries in canonical
  *    shard order (deliverCompletions), matching the serial per-cycle
  *    channel-0..N-1 iteration.
@@ -72,14 +76,17 @@ struct SubmitMsg
     dram::DecodedAddr dec;
     int source = 0;
     Cycle stamp = 0; ///< submit cycle; ingested before shard tick stamp+1
-    std::function<void(Cycle)> on_complete; ///< reads only
+    std::uint32_t tag = kNoCompletion; ///< reads only
 };
 
-/** One shard->LLC read completion, emitted at CAS-issue time. */
-struct CompletionMsg
+/** Receives the completions MemorySystem::deliverCompletions drains. */
+class ReadClient
 {
-    Cycle at = 0; ///< data-return cycle (now + tCL + tBL at issue)
-    std::function<void(Cycle)> fn;
+  public:
+    virtual ~ReadClient() = default;
+
+    /** The read enqueued with @p tag returned its data at cycle @p at. */
+    virtual void readDone(std::uint32_t tag, Cycle at) = 0;
 };
 
 /**
@@ -105,16 +112,13 @@ struct SkipStats
 {
     std::uint64_t cycles_skipped = 0;
     std::uint64_t dense_ticks = 0;
-    /** dense_ticks by WakeSource. Only these three are controller
-     * concerns; the CuqDrain concern never fires. */
+    /** dense_ticks by the controller WakeSource that set it. */
     std::uint64_t dense_command = 0;
     std::uint64_t dense_refresh = 0;
     std::uint64_t dense_recovery = 0;
     std::uint64_t wakes_command = 0;  ///< WakeSource::CommandReady
     std::uint64_t wakes_refresh = 0;  ///< WakeSource::Refresh
     std::uint64_t wakes_recovery = 0; ///< WakeSource::Recovery
-    std::uint64_t wakes_cuq = 0;      ///< WakeSource::CuqDrain (always 0:
-                                      ///< cuq drains are command-lazy)
     std::uint64_t wakes_mailbox = 0;  ///< WakeSource::Mailbox
     std::uint64_t wakes_epoch = 0;    ///< jump truncated by the window
 
@@ -143,10 +147,17 @@ class MemorySystem
     int channels() const { return static_cast<int>(shards_.size()); }
     const dram::Organization& organization() const { return org_; }
 
+    /**
+     * Register the one client deliverCompletions hands every tagged
+     * read's completion to (SharedLlc registers itself; null detaches).
+     */
+    void setReadClient(ReadClient* client) { client_ = client; }
+
     // --- Routing (by the decoded channel bits) --------------------------
-    /** Enqueue a read on @p dec's channel; false when that queue is full. */
+    /** Enqueue a read on @p dec's channel; false when that queue is full.
+     * Unless @p tag is kNoCompletion, the client gets readDone(tag). */
     bool enqueueRead(Addr addr, const dram::DecodedAddr& dec, int source,
-                     std::function<void(Cycle)> on_complete, Cycle now);
+                     std::uint32_t tag, Cycle now);
 
     /** Enqueue a posted write; false when that channel's queue is full. */
     bool enqueueWrite(Addr addr, const dram::DecodedAddr& dec, int source,
@@ -159,7 +170,7 @@ class MemorySystem
      * Driver step. A direct driver acts (enqueueRead/enqueueWrite) at
      * the start of cycle @p now; step runs the shards up to `next`, the
      * minimum of @p limit, now + epochLength(), each shard's next
-     * completion stamp + 1 and max(horizon, now) + 1, fires the
+     * completion stamp + 1 and max(horizon, now) + 1, delivers the
      * completions due before it, and returns it. Nothing a driver can
      * see changes in between, so acting only at returned cycles is
      * exactly per-cycle driving. Mailbox (submit*) drivers that poll
@@ -167,7 +178,8 @@ class MemorySystem
      */
     Cycle step(Cycle now, Cycle limit);
 
-    /** True when no shard has requests queued, mailboxed or in flight. */
+    /** True when no shard has requests queued, mailboxed or awaiting
+     * delivery. */
     bool drained() const;
 
     // --- Epoch engine (mailbox handoff; see file comment) ---------------
@@ -183,11 +195,11 @@ class MemorySystem
      * controller's bounded read queue happens shard-side at ingest;
      * the mailbox itself must never fill — the LLC's MSHR limit bounds
      * outstanding reads, and the ring is sized far beyond any MSHR
-     * file (fatal assert otherwise). @p on_complete fires from
-     * deliverCompletions at the data-return cycle.
+     * file (fatal assert otherwise). deliverCompletions hands @p tag
+     * to the client at the data-return cycle.
      */
     void submitRead(Addr addr, const dram::DecodedAddr& dec, int source,
-                    std::function<void(Cycle)> on_complete, Cycle now);
+                    std::uint32_t tag, Cycle now);
 
     /**
      * Mail a posted write to @p dec's channel; false when that
@@ -198,7 +210,7 @@ class MemorySystem
                      Cycle now);
 
     /**
-     * Fire every mailboxed completion due at or before @p now, in
+     * Hand every completion due at or before @p now to the client, in
      * canonical channel order and per-channel FIFO (= data-return
      * cycle) order. Call once per cycle before the LLC/core ticks.
      */
@@ -207,7 +219,8 @@ class MemorySystem
     /**
      * Run every shard's tick loop over [begin, end) — at most
      * epochLength() cycles — ingesting mailboxed submits stamped
-     * before each cycle and emitting completions to the outboxes.
+     * before each cycle and queueing completions in the controllers'
+     * FIFOs.
      * Shards run serially on the calling thread. The WorkerPool*
      * is ignored; it stays for perfbench's three-argument call. A
      * completion emitted inside the window may fire no earlier than
@@ -218,9 +231,11 @@ class MemorySystem
     /**
      * Run one shard's tick loop over [begin, end) — the task body of
      * runEpoch. Safe to call from any thread, one call per shard at a
-     * time. @p emit_guard is the earliest cycle a completion emitted
-     * inside this window may fire at; runEpoch passes @p end. The
-     * four-argument form stays for perfbench's traced loop.
+     * time: everything it touches is that shard's, completion FIFO
+     * included, and deliverCompletions reads the FIFO only between
+     * windows. @p emit_guard is the earliest cycle a completion
+     * emitted inside this window may fire at; runEpoch passes @p end.
+     * The four-argument form stays for perfbench's traced loop.
      */
     void runShard(int channel, Cycle begin, Cycle end, Cycle emit_guard);
 
@@ -300,9 +315,6 @@ class MemorySystem
          * were always admitted independently by the serial loop). */
         std::unique_ptr<SpscRing<SubmitMsg>> read_in;
         std::unique_ptr<SpscRing<SubmitMsg>> write_in;
-        /** Shard -> main completion outbox (per-shard clock domain). */
-        std::unique_ptr<SpscRing<CompletionMsg>> complete_out;
-        Cycle epoch_end = 0; ///< first cycle after the current epoch
         /** Persisted event horizon (cycle skipping): no controller
          * event before this cycle absent external input. 0 = unknown,
          * tick at once. Survives window boundaries; invalidated by
@@ -335,6 +347,7 @@ class MemorySystem
     Cycle epoch_ = 1;
     bool skip_ = true;
     std::vector<Shard> shards_;
+    ReadClient* client_ = nullptr;
 };
 
 } // namespace qprac::ctrl

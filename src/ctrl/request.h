@@ -1,18 +1,23 @@
 /**
  * @file
  * Memory requests and the bounded FIFO queues the controller schedules
- * from.
+ * from. A read names its requester with a plain tag, which comes back
+ * in a ReadDone at data return.
  */
 #ifndef QPRAC_CTRL_REQUEST_H
 #define QPRAC_CTRL_REQUEST_H
 
-#include <functional>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
 #include "dram/address.h"
 
 namespace qprac::ctrl {
+
+/** Read tag meaning "no completion wanted" (writes, and reads nobody
+ * waits for). */
+inline constexpr std::uint32_t kNoCompletion = ~std::uint32_t{0};
 
 /** One cache-line-sized memory request. */
 struct Request
@@ -31,8 +36,15 @@ struct Request
     std::uint64_t id = 0;
     int source = 0; ///< requesting core / generator id
 
-    /** Completion callback (reads); invoked with the data-return cycle. */
-    std::function<void(Cycle)> on_complete;
+    /** Requester's completion tag (reads); kNoCompletion = none. */
+    std::uint32_t tag = kNoCompletion;
+};
+
+/** One read's data return: the cycle and the requester's tag. */
+struct ReadDone
+{
+    Cycle at = 0;
+    std::uint32_t tag = kNoCompletion;
 };
 
 /** Bounded arrival-ordered request queue. */

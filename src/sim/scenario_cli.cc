@@ -59,14 +59,17 @@ usage()
 {
     std::string out =
         strCat(kUsage, "\nScenario keys (* = result-neutral):\n");
-    for (const ScenarioKey& k : scenarioKeyTable()) {
-        char line[160];
-        std::snprintf(line, sizeof line, "  %-17s %-12s %s\n",
-                      strCat(k.name, k.neutral ? "*" : "").c_str(),
-                      k.flag ? k.flag : "", k.values);
+    auto padded = [](std::string s, std::size_t width) {
+        if (s.size() < width)
+            s.resize(width, ' ');
+        return s;
+    };
+    for (const ScenarioKey& k : scenarioKeyTable())
         if (!k.retired)
-            out += line;
-    }
+            out += strCat("  ",
+                          padded(strCat(k.name, k.neutral ? "*" : ""), 17),
+                          " ", padded(k.flag ? k.flag : "", 12), " ",
+                          k.values, "\n");
     return out;
 }
 
@@ -248,7 +251,7 @@ profileReport(const ScenarioResult& res, unsigned sections)
             sk.cycles_skipped != 0 || sk.dense_ticks != 0 ||
             sk.wakes_command != 0 ||
             sk.wakes_refresh != 0 || sk.wakes_recovery != 0 ||
-            sk.wakes_cuq != 0 || sk.wakes_mailbox != 0 ||
+            sk.wakes_mailbox != 0 ||
             sk.wakes_epoch != 0;
         if (!skipped_ran) {
             out += "cycle skipping disabled for this run (skip=off, a\n"
@@ -288,8 +291,6 @@ profileReport(const ScenarioResult& res, unsigned sections)
             t.addRow(
                 {"wakes: recovery",
                  Table::num(static_cast<double>(sk.wakes_recovery), 0)});
-            t.addRow({"wakes: cuq-drain",
-                      Table::num(static_cast<double>(sk.wakes_cuq), 0)});
             t.addRow(
                 {"wakes: mailbox",
                  Table::num(static_cast<double>(sk.wakes_mailbox), 0)});
@@ -548,7 +549,6 @@ sweepJson(const ScenarioConfig& base,
         w.key("command_ready").value(sk.wakes_command);
         w.key("refresh").value(sk.wakes_refresh);
         w.key("recovery").value(sk.wakes_recovery);
-        w.key("cuq_drain").value(sk.wakes_cuq);
         w.key("mailbox").value(sk.wakes_mailbox);
         w.key("epoch_boundary").value(sk.wakes_epoch);
         w.endObject();

@@ -11,8 +11,8 @@
  *    enforcement.
  *  - Horizon honesty: MemoryController::nextEventAt must never
  *    over-advertise. Dense-tick a controller and assert that no
- *    observable state (issued commands, fired completions, alerts,
- *    refreshes, RFMs) changes strictly before each advertised horizon.
+ *    observable state (issued commands, alerts, refreshes, RFMs)
+ *    changes strictly before each advertised horizon.
  *    A component whose state changes before its horizon is a bug even
  *    if today's scheduler happens to mask it.
  */
@@ -26,11 +26,16 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "core/qprac.h"
+#include "cpu/core.h"
+#include "cpu/llc.h"
 #include "ctrl/memory_controller.h"
 #include "obs/obs.h"
+#include "sim/experiment.h"
 #include "sim/scenario.h"
 #include "sim/scenario_hash.h"
+#include "sim/system.h"
 
 using namespace qprac;
 using core::Qprac;
@@ -114,7 +119,8 @@ struct Fixture
     enqueueRead(int bank_flat, int row, Cycle now)
     {
         Addr a = addrOf(bank_flat, row);
-        return mc->enqueueRead(a, mapper.decode(a), 0, {}, now);
+        return mc->enqueueRead(a, mapper.decode(a), 0, ctrl::kNoCompletion,
+                               now);
     }
 
     bool
@@ -125,7 +131,7 @@ struct Fixture
     }
 
     /** Everything a skipped cycle is forbidden to change: issued
-     * commands, completions, protocol events. Pure machine transitions
+     * commands, protocol events. Pure machine transitions
      * are allowed inside a span only if they are externally silent
      * until the next wake (the induction argument in
      * MemoryController::nextEventAt). */
@@ -155,7 +161,11 @@ struct Fixture
  * tick(t) the controller promises no observable event strictly before
  * nextEventAt(t), provided no enqueue arrives in between — so
  * @p enqueue_at only runs at span boundaries (exactly how the skipping
- * shard loop re-computes the horizon after every wake). Reports the
+ * shard loop re-computes the horizon after every wake). Like a driver
+ * stepping a MemorySystem, the audit also ends a span at the next
+ * queued read completion (its data-return cycle) and takes the
+ * completions due by each span start, so a driver that reacts to
+ * returned data gets its span start there. Reports the
  * number of in-span cycles audited via @p audited_out, so callers can
  * assert the horizons actually had teeth (spans longer than one
  * cycle), and the number of dense (now + 1) horizons via
@@ -171,15 +181,20 @@ auditHorizons(Fixture& f, Cycle limit, EnqueueFn enqueue_at,
     std::uint64_t audited = 0;
     std::uint64_t dense = 0;
     Cycle t = from;
+    auto& done = f.mc->completions();
     while (t < limit) {
+        while (!done.empty() && done.front().at <= t)
+            done.pop_front();
         enqueue_at(t);
         f.mc->tick(t);
         const Cycle h = f.mc->nextEventAt(t);
         ASSERT_GT(h, t) << "horizon must be strictly in the future";
-        if (h == t + 1)
+        const Cycle wake = done.empty() ? h : std::min(h, done.front().at);
+        ASSERT_GT(wake, t) << "completion queued for a past cycle";
+        if (wake == t + 1)
             ++dense;
         const std::string fp = f.fingerprint();
-        const Cycle stop = std::min(h, limit);
+        const Cycle stop = std::min(wake, limit);
         for (Cycle u = t + 1; u < stop; ++u) {
             f.mc->tick(u);
             ++audited;
@@ -433,8 +448,6 @@ TEST(EngineSkip, SkipActuallySkipsAndCountsWakes)
     EXPECT_GT(sk.wakes_command + sk.wakes_refresh + sk.wakes_recovery +
                   sk.wakes_mailbox + sk.wakes_epoch,
               0u);
-    // Counter-update drains are command-lazy: never a wake source.
-    EXPECT_EQ(sk.wakes_cuq, 0u);
     // Off = dense: all counters stay zero (no horizon is ever asked
     // for, so no tick counts as a back-to-back one either).
     ASSERT_TRUE(cfg.set("skip", "off", &err)) << err;
@@ -446,6 +459,88 @@ TEST(EngineSkip, SkipActuallySkipsAndCountsWakes)
     EXPECT_EQ(on.resultJson().find("cycles_skipped"), std::string::npos);
     EXPECT_EQ(on.resultJson().find("dense_ticks"), std::string::npos);
     EXPECT_EQ(on.resultJson(), off.resultJson());
+}
+
+TEST(EngineSkip, PooledRunShardMatchesRunEpoch)
+{
+    // The pooled shard schedule: the main phase (completions, LLC,
+    // cores) on this thread, then each window's shards as runShard
+    // tasks on a 2-thread WorkerPool. Every shard's completion FIFO is
+    // filled on a worker and drained here between windows, so under
+    // ThreadSanitizer this is the race check for that handoff. Alerts
+    // are on (NBO 8), so recovery runs on the workers too. The result
+    // must be System::run's, which runs every shard on one thread.
+    ScenarioConfig cfg = baseConfig(2, "510.parest_r");
+    cfg.nbo = 8;
+    cfg.insts = 20'000;
+    const sim::DesignSpec design = cfg.design();
+    const sim::SystemConfig sys =
+        sim::makeSystemConfig(design, cfg.experiment());
+    sim::SimResult ref;
+    {
+        sim::System system(sys, design.factory,
+                           sim::buildScenarioTraces(cfg));
+        ref = system.run();
+    }
+    ASSERT_GT(ref.stats.get("ctrl.alerts"), 0.0);
+
+    auto traces = sim::buildScenarioTraces(cfg);
+    dram::AddressMapper mapper(sys.org, sys.mapping);
+    ctrl::MemorySystem memory(sys.org, sys.timing, sys.ctrl, design.factory,
+                              sys.blast_radius, sys.counter_update);
+    cpu::SharedLlc llc(sys.llc, memory, mapper);
+    std::vector<std::unique_ptr<cpu::O3Core>> cores;
+    for (int i = 0; i < sys.num_cores; ++i)
+        cores.push_back(std::make_unique<cpu::O3Core>(
+            i, sys.core, *traces[static_cast<std::size_t>(i)], llc));
+    std::vector<Addr> warm;
+    for (const auto& trace : traces) {
+        warm.clear();
+        trace->warmupAddrs(warm);
+        for (Addr a : warm)
+            llc.warmInstall(a);
+    }
+    WorkerPool pool(2);
+    const Cycle epoch = memory.epochLength();
+    Cycle cycle = 0;
+    bool all_done = false;
+    while (cycle < sys.max_cycles && !all_done) {
+        const Cycle epoch_end = std::min(cycle + epoch, sys.max_cycles);
+        Cycle shard_end = epoch_end;
+        for (Cycle u = cycle; u < epoch_end; ++u) {
+            memory.deliverCompletions(u);
+            llc.tick(u);
+            all_done = true;
+            for (auto& core : cores) {
+                core->tick(u);
+                all_done = all_done && core->done();
+            }
+            if (all_done) {
+                shard_end = u + 1;
+                break;
+            }
+        }
+        pool.run(static_cast<std::size_t>(memory.channels()),
+                 [&](std::size_t i) {
+                     memory.runShard(static_cast<int>(i), cycle, shard_end,
+                                     shard_end);
+                 });
+        cycle = shard_end;
+    }
+    ASSERT_TRUE(all_done);
+    EXPECT_EQ(cycle - 1, ref.cycles);
+    memory.flushMitigationActs();
+    StatSet stats;
+    for (std::size_t i = 0; i < cores.size(); ++i)
+        cores[i]->exportStats(stats, "core" + std::to_string(i) + ".");
+    memory.exportStats(stats, "");
+    llc.stats().exportTo(stats, "llc.");
+    ASSERT_GT(stats.entries().size(), 0u);
+    for (const auto& [name, value] : stats.entries()) {
+        ASSERT_TRUE(ref.stats.has(name)) << name;
+        EXPECT_EQ(value, ref.stats.get(name)) << name;
+    }
+    EXPECT_EQ(memory.skipStats(), ref.skip);
 }
 
 // --- nextEventAt never over-advertises --------------------------------
@@ -539,15 +634,15 @@ TEST(EngineSkipHorizon, HonestUnderOverlappingBankRecoveries)
     // Banks 0 and 1 (one bank group) hammer two rows in lockstep, one
     // conflicting pair at a time, so both cross NBO together: the next
     // pair goes in at the span start that finds the read queue empty
-    // (the reads carry completions, so the last data return is one).
+    // (the reads carry completions, so the audit ends a span at the
+    // last one's data return).
     // Banks 2 and 3 get a paced stream of writes to fresh rows, none
     // of which ever reaches NBO.
     int pairs = 0;
     int paced = 0;
     auto read = [&](int bank, int row, Cycle t) {
         const Addr a = f.addrOf(bank, row);
-        return f.mc->enqueueRead(a, f.mapper.decode(a), 0, [](Cycle) {},
-                                 t);
+        return f.mc->enqueueRead(a, f.mapper.decode(a), 0, /*tag=*/0, t);
     };
     std::uint64_t audited = 0;
     std::uint64_t dense = 0;
@@ -732,14 +827,14 @@ TEST(EngineSkipHorizon, EachDemandSourcePrechargesOnlyItsBanks)
     // the check is that no other bank ever sees a PRE, and that the
     // demanded RFMs issued (each needs bank 0 closed first). A new
     // pair of reads arrives at each span start that finds the read
-    // queue empty; the reads carry completions, so the last one's data
-    // return is such a span start and the hammer keeps going.
+    // queue empty; the reads carry completions, so the audit ends a
+    // span at the last one's data return and the hammer keeps going.
     auto hammerBank0 = [&](Fixture& f, obs::EventSink& sink) {
         f.dev.setEventSink(&sink);
         auto read = [&](int bank, int row, Cycle t) {
             const Addr a = f.addrOf(bank, row);
-            return f.mc->enqueueRead(a, f.mapper.decode(a), 0,
-                                     [](Cycle) {}, t);
+            return f.mc->enqueueRead(a, f.mapper.decode(a), 0, /*tag=*/0,
+                                     t);
         };
         // 12 pairs finish well inside tREFI, so no REF (a demand
         // source of its own) joins in.

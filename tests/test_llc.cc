@@ -90,15 +90,16 @@ struct Fixture
 TEST(Llc, MissThenHit)
 {
     Fixture f;
-    int done = 0;
-    ASSERT_TRUE(f.llc.access(0x1000, false, 0, [&] { ++done; }, f.now));
+    bool miss = false;
+    ASSERT_TRUE(f.llc.access(0x1000, false, 0, &miss, f.now));
     f.run(2000);
-    EXPECT_EQ(done, 1);
+    EXPECT_TRUE(miss);
     EXPECT_EQ(f.llc.stats().load_misses, 1u);
     // Second access to the same line hits.
-    ASSERT_TRUE(f.llc.access(0x1000, false, 0, [&] { ++done; }, f.now));
+    bool hit = false;
+    ASSERT_TRUE(f.llc.access(0x1000, false, 0, &hit, f.now));
     f.run(50);
-    EXPECT_EQ(done, 2);
+    EXPECT_TRUE(hit);
     EXPECT_EQ(f.llc.stats().load_hits, 1u);
 }
 
@@ -107,13 +108,19 @@ TEST(Llc, HitLatencyApplied)
     Fixture f;
     // Warm the line.
     bool warm = false;
-    f.llc.access(0x40, false, 0, [&] { warm = true; }, f.now);
+    f.llc.access(0x40, false, 0, &warm, f.now);
     f.run(2000);
     ASSERT_TRUE(warm);
     Cycle start = f.now;
+    bool hit = false;
+    f.llc.access(0x40, false, 0, &hit, f.now);
+    // The cycle whose LLC tick set the flag.
     Cycle done_at = 0;
-    f.llc.access(0x40, false, 0, [&] { done_at = f.now; }, f.now);
-    f.run(50);
+    for (int i = 0; i < 50 && !hit; ++i) {
+        f.run(1);
+        if (hit)
+            done_at = f.now - 1;
+    }
     EXPECT_GE(done_at, start + 8);
     EXPECT_LE(done_at, start + 12);
 }
@@ -121,12 +128,14 @@ TEST(Llc, HitLatencyApplied)
 TEST(Llc, MshrMergesSameLine)
 {
     Fixture f;
-    int done = 0;
-    ASSERT_TRUE(f.llc.access(0x2000, false, 0, [&] { ++done; }, f.now));
-    ASSERT_TRUE(f.llc.access(0x2020, false, 0, [&] { ++done; }, f.now));
+    bool first = false;
+    bool merged = false;
+    ASSERT_TRUE(f.llc.access(0x2000, false, 0, &first, f.now));
+    ASSERT_TRUE(f.llc.access(0x2020, false, 0, &merged, f.now));
     EXPECT_EQ(f.llc.stats().mshr_merges, 1u); // same 64B line
     f.run(2000);
-    EXPECT_EQ(done, 2);
+    EXPECT_TRUE(first);
+    EXPECT_TRUE(merged);
     EXPECT_EQ(f.mc.stats().reads_enqueued, 1u); // one fill only
 }
 
@@ -136,25 +145,25 @@ TEST(Llc, MshrExhaustionBackpressures)
     int accepted = 0;
     for (int i = 0; i < 8; ++i)
         if (f.llc.access(static_cast<Addr>(0x100000 + i * 0x10000),
-                         false, 0, [] {}, f.now))
+                         false, 0, nullptr, f.now))
             ++accepted;
     EXPECT_EQ(accepted, 4); // mshrs = 4
     f.run(3000);
     // After fills complete, new misses are accepted again.
-    EXPECT_TRUE(f.llc.access(0x900000, false, 0, [] {}, f.now));
+    EXPECT_TRUE(f.llc.access(0x900000, false, 0, nullptr, f.now));
 }
 
 TEST(Llc, StoreAllocatesDirtyWithoutFetch)
 {
     Fixture f;
-    ASSERT_TRUE(f.llc.access(0x3000, true, 0, {}, f.now));
+    ASSERT_TRUE(f.llc.access(0x3000, true, 0, nullptr, f.now));
     EXPECT_EQ(f.llc.stats().store_misses, 1u);
     EXPECT_EQ(f.mc.stats().reads_enqueued, 0u); // no fetch on write
     // A subsequent load to the same line hits.
-    int done = 0;
-    ASSERT_TRUE(f.llc.access(0x3000, false, 0, [&] { ++done; }, f.now));
+    bool hit = false;
+    ASSERT_TRUE(f.llc.access(0x3000, false, 0, &hit, f.now));
     f.run(50);
-    EXPECT_EQ(done, 1);
+    EXPECT_TRUE(hit);
     EXPECT_EQ(f.llc.stats().load_hits, 1u);
 }
 
@@ -165,11 +174,11 @@ TEST(Llc, DirtyEvictionWritesBack)
     // Fill one set with 4 dirty lines, then force an eviction.
     for (int w = 0; w < 4; ++w) {
         Addr a = static_cast<Addr>(w) * 256 * 64; // same set index 0
-        ASSERT_TRUE(f.llc.access(a, true, 0, {}, f.now));
+        ASSERT_TRUE(f.llc.access(a, true, 0, nullptr, f.now));
     }
     EXPECT_EQ(f.llc.stats().writebacks, 0u);
     Addr a5 = static_cast<Addr>(4) * 256 * 64;
-    ASSERT_TRUE(f.llc.access(a5, true, 0, {}, f.now));
+    ASSERT_TRUE(f.llc.access(a5, true, 0, nullptr, f.now));
     EXPECT_EQ(f.llc.stats().writebacks, 1u);
     f.run(5000);
     EXPECT_EQ(f.dev.stats().writes, 1u);
@@ -180,23 +189,23 @@ TEST(Llc, LruEvictsOldest)
     Fixture f;
     // Warm 4 ways of set 0 via loads (clean lines).
     for (int w = 0; w < 4; ++w) {
-        f.llc.access(static_cast<Addr>(w) * 256 * 64, false, 0, [] {},
+        f.llc.access(static_cast<Addr>(w) * 256 * 64, false, 0, nullptr,
                      f.now);
         f.run(2000);
     }
     // Touch way 0 so way 1 becomes LRU.
-    f.llc.access(0, false, 0, [] {}, f.now);
+    f.llc.access(0, false, 0, nullptr, f.now);
     f.run(50);
     // Install a new line; way 1 (addr 256*64) should be evicted.
-    f.llc.access(static_cast<Addr>(10) * 256 * 64, false, 0, [] {},
+    f.llc.access(static_cast<Addr>(10) * 256 * 64, false, 0, nullptr,
                  f.now);
     f.run(2000);
     int hits_before = static_cast<int>(f.llc.stats().load_hits);
-    f.llc.access(0, false, 0, [] {}, f.now); // still resident
+    f.llc.access(0, false, 0, nullptr, f.now); // still resident
     f.run(50);
     EXPECT_EQ(static_cast<int>(f.llc.stats().load_hits),
               hits_before + 1);
-    f.llc.access(static_cast<Addr>(1) * 256 * 64, false, 0, [] {},
+    f.llc.access(static_cast<Addr>(1) * 256 * 64, false, 0, nullptr,
                  f.now); // evicted -> miss (4 warm + new line + this)
     EXPECT_EQ(f.llc.stats().load_misses, 6u);
     f.run(2000);
@@ -206,7 +215,7 @@ TEST(Llc, QuiescedReflectsOutstandingWork)
 {
     Fixture f;
     EXPECT_TRUE(f.llc.quiesced());
-    f.llc.access(0x5000, false, 0, [] {}, f.now);
+    f.llc.access(0x5000, false, 0, nullptr, f.now);
     EXPECT_FALSE(f.llc.quiesced());
     f.run(2000);
     EXPECT_TRUE(f.llc.quiesced());

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "core/qprac.h"
@@ -48,12 +49,23 @@ struct Fixture
         mc = std::make_unique<MemoryController>(dev, cfg);
     }
 
+    /** Tick densely, firing each read's callback once the cycle its
+     * data returns has been ticked. */
     void run(Cycle cycles)
     {
-        for (Cycle c = 0; c < cycles; ++c)
-            mc->tick(now++), void();
+        for (Cycle c = 0; c < cycles; ++c) {
+            mc->tick(now);
+            auto& done = mc->completions();
+            while (!done.empty() && done.front().at <= now) {
+                const ctrl::ReadDone d = done.front();
+                done.pop_front();
+                callbacks[d.tag](d.at);
+            }
+            ++now;
+        }
     }
 
+    /** Enqueue a read; @p cb (if any) gets its data-return cycle. */
     bool
     enqueueRead(int bank_flat, int row, int col,
                 std::function<void(Cycle)> cb = {})
@@ -61,7 +73,12 @@ struct Fixture
         int bg = bank_flat / org.banks_per_group;
         int bank = bank_flat % org.banks_per_group;
         Addr a = mapper.makeAddr(0, 0, bg, bank, row, col);
-        return mc->enqueueRead(a, mapper.decode(a), 0, std::move(cb), now);
+        std::uint32_t tag = ctrl::kNoCompletion;
+        if (cb) {
+            tag = static_cast<std::uint32_t>(callbacks.size());
+            callbacks.push_back(std::move(cb));
+        }
+        return mc->enqueueRead(a, mapper.decode(a), 0, tag, now);
     }
 
     Organization org;
@@ -70,6 +87,7 @@ struct Fixture
     DramDevice dev;
     std::unique_ptr<Qprac> mit;
     std::unique_ptr<MemoryController> mc;
+    std::vector<std::function<void(Cycle)>> callbacks; ///< by read tag
     Cycle now = 0;
 };
 

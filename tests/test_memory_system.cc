@@ -242,7 +242,8 @@ TEST(MemorySystem, AttackOnChannel0NeverPerturbsChannel1)
             Addr addr =
                 mapper.makeAddr(0, 0, 0, 0, 8 + 32 * (row_toggle++ % 2),
                                 0);
-            msys.enqueueRead(addr, mapper.decode(addr), 0, {}, now);
+            msys.enqueueRead(addr, mapper.decode(addr), 0,
+                             ctrl::kNoCompletion, now);
         }
         now = msys.step(now, 120'000);
     }
@@ -338,37 +339,56 @@ runStepDriver(bool skip)
     msys.setCycleSkipping(skip);
 
     DriverRun out;
+    int outstanding = 0;
+    // Each read's tag is its index in out.reads; attacker reads (the
+    // ones counted in `outstanding`) are marked in `attacker`.
+    struct Client final : ctrl::ReadClient
+    {
+        DriverRun& out;
+        std::vector<bool>& attacker;
+        int& outstanding;
+
+        Client(DriverRun& o, std::vector<bool>& a, int& n)
+            : out(o), attacker(a), outstanding(n)
+        {
+        }
+
+        void readDone(std::uint32_t tag, Cycle at) override
+        {
+            out.reads[tag].second = at;
+            if (attacker[tag])
+                --outstanding;
+        }
+    };
+    std::vector<bool> attacker;
+    Client client(out, attacker, outstanding);
+    msys.setReadClient(&client);
     auto read = [&](int channel, int bank, int row, Cycle now,
-                    int* outstanding) {
+                    bool is_attacker) {
         const Addr addr = mapper.makeAddr(channel, 0, bank % 8, bank / 8,
                                           row, 0);
-        const std::size_t idx = out.reads.size();
-        const bool ok = msys.enqueueRead(
-            addr, mapper.decode(addr), 0,
-            [&out, idx, outstanding](Cycle done) {
-                out.reads[idx].second = done;
-                if (outstanding)
-                    --*outstanding;
-            },
-            now);
-        if (ok)
+        const auto tag = static_cast<std::uint32_t>(out.reads.size());
+        const bool ok =
+            msys.enqueueRead(addr, mapper.decode(addr), 0, tag, now);
+        if (ok) {
             out.reads.push_back({now, 0});
+            attacker.push_back(is_attacker);
+        }
         return ok;
     };
 
     constexpr Cycle kProbePeriod = 613;
     constexpr Cycle kTotal = 40'000;
-    int outstanding = 0;
     int next_row = 0;
     int probe_row = 0;
     for (Cycle now = 0; now < kTotal;) {
         if (now % kProbePeriod == 0) {
             // A probe the full queue refuses is dropped, never retried.
             read(static_cast<int>(now / kProbePeriod % 2), 5,
-                 4096 + 2 * (probe_row++ % 32), now, nullptr);
+                 4096 + 2 * (probe_row++ % 32), now, false);
         }
         while (outstanding < 4) {
-            if (!read(0, 0, 64 + 4 * (next_row % 16), now, &outstanding)) {
+            if (!read(0, 0, 64 + 4 * (next_row % 16), now, true)) {
                 ++out.refused;
                 break;
             }

@@ -57,7 +57,8 @@ struct Rig
         for (int i = 0; i < times; ++i) {
             Addr a = mapper.makeAddr(0, rank, bg, bank,
                                      (i % 2) ? 100 : 300, 0);
-            while (!mc->enqueueRead(a, mapper.decode(a), 0, {}, now))
+            while (!mc->enqueueRead(a, mapper.decode(a), 0,
+                                    ctrl::kNoCompletion, now))
                 step(50);
             step(300);
         }
@@ -151,13 +152,13 @@ TEST(RfmScopes, Prac4IssuesFourRfmsAndMitigatesUpToFourRows)
     for (int r = 0; r < 4; ++r)
         for (int i = 0; i < 3 + r; ++i) {
             Addr a = rig.mapper.makeAddr(0, 0, 0, 0, 100 + 8 * r, i);
-            while (!rig.mc->enqueueRead(a, rig.mapper.decode(a), 0, {},
-                                        rig.now))
+            while (!rig.mc->enqueueRead(a, rig.mapper.decode(a), 0,
+                                        ctrl::kNoCompletion, rig.now))
                 rig.step(50);
             rig.step(250);
             Addr b = rig.mapper.makeAddr(0, 0, 0, 0, 500, 0);
-            while (!rig.mc->enqueueRead(b, rig.mapper.decode(b), 0, {},
-                                        rig.now))
+            while (!rig.mc->enqueueRead(b, rig.mapper.decode(b), 0,
+                                        ctrl::kNoCompletion, rig.now))
                 rig.step(50);
             rig.step(250);
         }

@@ -417,10 +417,25 @@ TEST(QpracSimCli, CachedSweepJsonMarksHitsAndCountsThem)
 TEST(QpracSimCli, HelpNamesEveryKeyAndItsTraceExampleParses)
 {
     const std::string help = run({"--help"});
-    for (const auto& key : ScenarioConfig::keys())
-        EXPECT_TRUE(help.find("\n  " + key + " ") != std::string::npos ||
-                    help.find("\n  " + key + "*") != std::string::npos)
-            << key << " missing from --help:\n" << help;
+    // Every live row of the key table, optional rows included, prints
+    // whole: its full values text ends the row's line.
+    for (const auto& k : qprac::sim::scenarioKeyTable()) {
+        if (k.retired)
+            continue;
+        const std::string name =
+            std::string(k.name) + (k.neutral ? "*" : "");
+        const std::size_t row = help.find("\n  " + name + " ");
+        ASSERT_NE(row, std::string::npos)
+            << name << " missing from --help:\n" << help;
+        const std::size_t eol = help.find('\n', row + 1);
+        ASSERT_NE(eol, std::string::npos) << name;
+        const std::string line = help.substr(row + 1, eol - row - 1);
+        const std::string values = k.values;
+        EXPECT_TRUE(line.size() >= values.size() &&
+                    line.compare(line.size() - values.size(),
+                                 values.size(), values) == 0)
+            << name << " row cut short or merged:\n" << line;
+    }
     // The trace row's example is a value the trace key accepts, on
     // the config surface and on the command line.
     const std::size_t at = help.find("e.g. trace=");
